@@ -16,14 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gausscat.wavefunc import (
-    GridSpec,
-    WaveSample,
-    frac_fourier,
-    hermite_basis,
-    mehler_kernel,
-    psi_coherent,
-)
+from gausscat.verify import spectral_error
+from gausscat.wavefunc import GridSpec, WaveSample, frac_fourier, psi_coherent
 
 
 @dataclass
@@ -33,15 +27,6 @@ class SweepConfig:
     half_width: float = 12.0
     point_counts: tuple[int, ...] = (51, 75, 101, 151, 201, 401, 801, 2001)
     alpha: complex = 1.0
-
-
-def spectral_error(cfg: SweepConfig, grid: GridSpec) -> float:
-    x = grid.x()
-    basis = hermite_basis(cfg.n_max, x)
-    kernel = mehler_kernel(x[:, None], x[None, :], cfg.phi)
-    transformed = (grid.trapezoid_weights() * basis) @ kernel.T
-    expected = np.exp(-1j * cfg.phi * np.arange(cfg.n_max + 1))[:, None] * basis
-    return float(np.abs(transformed - expected).max())
 
 
 def round_trip_error(cfg: SweepConfig, grid: GridSpec) -> float:
@@ -60,7 +45,7 @@ def main() -> None:
     print("points,spacing,spectral_error,round_trip_error")
     for points in cfg.point_counts:
         grid = GridSpec(cfg.half_width, points)
-        print(f"{points},{grid.spacing:.6g},{spectral_error(cfg, grid):.6e},"
+        print(f"{points},{grid.spacing:.6g},{spectral_error(grid, cfg.phi, cfg.n_max):.6e},"
               f"{round_trip_error(cfg, grid):.6e}")
 
 

@@ -8,12 +8,10 @@ from .gauss_sums import (
     RationalAngle,
     closed_coefficients,
     direct_coefficients,
-    gauss_coefficient_closed,
-    gauss_coefficient_direct,
-    gauss_sum_alternating,
     gcd,
     jacobi_symbol,
     mod_inverse,
+    unit_phase,
 )
 from .superposition import (
     KittenComponent,
@@ -23,7 +21,6 @@ from .superposition import (
     descriptor_from_json,
     descriptor_to_json,
     reference_state_table,
-    phase_sequence,
     verify_forward_dft,
 )
 from .fock import (
@@ -50,14 +47,12 @@ from .wavefunc import (
     frac_fourier,
     geneq_residual,
     hermite_basis,
-    hermite_values,
     kitten_wave_sample,
     mehler_kernel,
     psi_cat_F,
     psi_cat_F_inverse,
     psi_cat_P,
     psi_coherent,
-    psi_n,
     superposition_wavefunction,
 )
 from .verify import CheckResult, VerifyConfig, coprime_fractions, run_checks

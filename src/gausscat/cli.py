@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 verification/discrepancy failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .fock import evolution_fidelity, required_dimension
+from .fock import evolution_fidelity, required_dimension, within_truncation_guard
 from .gauss_sums import (
     CoprimeFraction,
     RationalAngle,
@@ -34,6 +35,7 @@ from .superposition import (
     KittenComponent,
     KittenDescriptor,
     build_descriptor,
+    coefficient_to_dict,
     coefficients_by_inverse_dft,
     descriptor_to_json,
 )
@@ -54,10 +56,12 @@ def _fmt_complex(z: complex) -> str:
 def _parse_alpha(parser: argparse.ArgumentParser, text: str) -> complex:
     try:
         re_part, im_part = text.split(",")
-        return complex(float(re_part), float(im_part))
+        alpha = complex(float(re_part), float(im_part))
     except ValueError:
         parser.error(f"--alpha expects 're,im', got {text!r}")
-        raise AssertionError("unreachable")
+    if not cmath.isfinite(alpha):
+        parser.error(f"--alpha must be finite, got {text!r}")
+    return alpha
 
 
 def _fraction(parser: argparse.ArgumentParser, args: argparse.Namespace) -> CoprimeFraction:
@@ -66,15 +70,6 @@ def _fraction(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Copr
     except ValueError as exc:
         parser.error(str(exc))
         raise AssertionError("unreachable")
-
-
-def _coeff_json(coefficient) -> dict:
-    return {
-        "sign": coefficient.sign,
-        "phase_num": coefficient.phase.num,
-        "phase_den": coefficient.phase.den,
-        "inv_sqrt": coefficient.inv_sqrt_n,
-    }
 
 
 def cmd_coeffs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -93,7 +88,7 @@ def cmd_coeffs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             "rows": [
                 {
                     "k": k,
-                    "closed": _coeff_json(closed[k]),
+                    "closed": coefficient_to_dict(closed[k]),
                     "direct": [direct[k].real, direct[k].imag],
                     "inverse_dft": [idft[k].real, idft[k].imag],
                     "discrepancy": float(discrepancies[k]),
@@ -151,22 +146,27 @@ def cmd_state(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_truncation_guard(parser: argparse.ArgumentParser, alpha: complex,
-                            dim: int) -> None:
-    if abs(alpha) ** 2 > dim - 4.0 * math.sqrt(dim):
+def _alpha_within_guard(parser: argparse.ArgumentParser,
+                        args: argparse.Namespace) -> complex:
+    """--alpha, once it is finite and --dim is positive and keeps the
+    coherent-state tail negligible."""
+    alpha = _parse_alpha(parser, args.alpha)
+    if args.dim < 1:
+        parser.error(f"--dim must be a positive integer, got {args.dim}")
+    if not within_truncation_guard(alpha, args.dim):
         parser.error(
             f"|alpha|^2 = {abs(alpha) ** 2:.6g} violates the truncation guard at "
-            f"dim = {dim}; use --dim {required_dimension(alpha)} or larger")
+            f"dim = {args.dim}; use --dim {required_dimension(alpha)} or larger")
+    return alpha
 
 
 def cmd_wavefunction(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     f = _fraction(parser, args)
-    alpha = _parse_alpha(parser, args.alpha)
-    _check_truncation_guard(parser, alpha, args.dim)
+    alpha = _alpha_within_guard(parser, args)
     try:
         grid = GridSpec(args.grid_half_width, args.grid_points)
     except ValueError as exc:
-        parser.error(str(exc))
+        parser.error(f"--grid-half-width/--grid-points: {exc}")
     sample = kitten_wave_sample(alpha, f, grid, args.dim)
     norm = sample.norm()
     print(f"# trapezoid norm = {_fmt(norm)}", file=sys.stderr)
@@ -193,8 +193,9 @@ def cmd_wavefunction(parser: argparse.ArgumentParser, args: argparse.Namespace) 
 
 def cmd_evolve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     f = _fraction(parser, args)
-    alpha = _parse_alpha(parser, args.alpha)
-    _check_truncation_guard(parser, alpha, args.dim)
+    alpha = _alpha_within_guard(parser, args)
+    if not math.isfinite(args.t):
+        parser.error(f"--t must be finite, got {args.t}")
     if args.t_steps < 2:
         parser.error("--t-steps must be at least 2")
     times = np.linspace(0.0, args.t, args.t_steps)
@@ -216,6 +217,10 @@ def cmd_evolve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    # below 2 the sweep has no fraction M/N to cover, and would pass vacuously
+    for flag, value in (("--coeff-nmax", args.coeff_nmax), ("--fock-nmax", args.fock_nmax)):
+        if value < 2:
+            parser.error(f"{flag} must be at least 2, got {value}")
     cfg = VerifyConfig(coeff_n_max=args.coeff_nmax, fock_n_max=args.fock_nmax)
     groups = args.only or None
     results = run_checks(cfg, groups)

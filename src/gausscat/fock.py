@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .gauss_sums import CoprimeFraction, RationalAngle
+from .gauss_sums import CoprimeFraction, RationalAngle, unit_phase
 from .superposition import KittenDescriptor
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "required_dimension",
     "rotation_diagonal",
     "time_evolution_residual",
+    "within_truncation_guard",
 ]
 
 
@@ -54,9 +55,14 @@ def required_dimension(alpha: complex) -> int:
     return max(1, math.ceil(root * root))
 
 
+def within_truncation_guard(alpha: complex, dim: int) -> bool:
+    """|alpha|^2 <= dim - 4*sqrt(dim), clamped at zero so that alpha = 0,
+    whose vacuum vector is exact at any dim >= 1, always passes."""
+    return abs(alpha) ** 2 <= max(0.0, dim - 4.0 * math.sqrt(dim))
+
+
 def _check_truncation(alpha: complex, dim: int) -> None:
-    # clamped at zero so the exactly representable alpha = 0 never warns
-    if abs(alpha) ** 2 > max(0.0, dim - 4.0 * math.sqrt(dim)):
+    if not within_truncation_guard(alpha, dim):
         warnings.warn(
             f"|alpha|^2 = {abs(alpha) ** 2:.3g} exceeds dim - 4*sqrt(dim) = "
             f"{dim - 4.0 * math.sqrt(dim):.3g}; need dim >= {required_dimension(alpha)}",
@@ -78,11 +84,6 @@ def creation_matrix(dim: int) -> np.ndarray:
     return annihilation_matrix(dim).T.conj()
 
 
-def _reduced_phases(nums: np.ndarray, den: int) -> np.ndarray:
-    """exp(i*pi*nums/den) with nums already reduced mod 2*den."""
-    return np.exp(1j * np.pi * nums / den)
-
-
 def rotation_diagonal(f: CoprimeFraction | None, dim: int) -> np.ndarray:
     """Diagonal of U(phi) = exp(-i*phi*(L - 1/2)): entries exp(-i*phi*n).
 
@@ -90,9 +91,7 @@ def rotation_diagonal(f: CoprimeFraction | None, dim: int) -> np.ndarray:
     """
     if f is None:
         return np.ones(dim, dtype=complex)
-    n = np.arange(dim, dtype=np.int64)
-    nums = (-2 * f.M * n) % (2 * f.N)
-    return _reduced_phases(nums, f.N)
+    return unit_phase(-2 * f.M * np.arange(dim, dtype=np.int64), f.N)
 
 
 def kerr_diagonal(f: CoprimeFraction | None, dim: int) -> np.ndarray:
@@ -103,8 +102,7 @@ def kerr_diagonal(f: CoprimeFraction | None, dim: int) -> np.ndarray:
     if f is None:
         return np.ones(dim, dtype=complex)
     n = np.arange(dim, dtype=np.int64)
-    nums = (f.M * n * (n - 1)) % (2 * f.N)
-    return _reduced_phases(nums, f.N)
+    return unit_phase(f.M * n * (n - 1), f.N)
 
 
 def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
@@ -131,8 +129,7 @@ def kitten_vector_series(alpha: complex, f: CoprimeFraction | None, dim: int) ->
     if f is None:
         return v
     n = np.arange(dim, dtype=np.int64)
-    nums = (-f.M * n * (n - 1)) % (2 * f.N)
-    return v * _reduced_phases(nums, f.N)
+    return v * unit_phase(-f.M * n * (n - 1), f.N)
 
 
 def kitten_vector_superposition(alpha: complex, desc: KittenDescriptor, dim: int) -> np.ndarray:
@@ -190,13 +187,19 @@ def aN_identity_residual(f: CoprimeFraction, dim: int) -> float:
     return math.sqrt(total)
 
 
+def _evolved_pair(alpha: complex, f: CoprimeFraction, t: float,
+                  dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i*t*L)|kitten(alpha)> and |kitten(exp(-i*t)*alpha)>, which agree
+    up to the global phase exp(-i*t/2)."""
+    evolved = np.exp(-1j * t * (np.arange(dim) + 0.5)) * kitten_vector_series(alpha, f, dim)
+    return evolved, kitten_vector_series(cmath.exp(-1j * t) * alpha, f, dim)
+
+
 def time_evolution_residual(alpha: complex, f: CoprimeFraction, t: float, dim: int) -> float:
     """Residual of exp(-i*t*L)|alpha> = exp(-i*t/2)|exp(-i*t)*alpha> for the
     kitten series vector, with L acting as n + 1/2."""
-    v = kitten_vector_series(alpha, f, dim)
-    evolved = np.exp(-1j * t * (np.arange(dim) + 0.5)) * v
-    rotated = cmath.exp(-0.5j * t) * kitten_vector_series(cmath.exp(-1j * t) * alpha, f, dim)
-    return float(np.linalg.norm(evolved - rotated))
+    evolved, rotated = _evolved_pair(alpha, f, t, dim)
+    return float(np.linalg.norm(evolved - cmath.exp(-0.5j * t) * rotated))
 
 
 def kerr_identity_residual(alpha: complex, f: CoprimeFraction, dim: int) -> float:
@@ -220,6 +223,5 @@ def kerr_conjugation_residual(f: CoprimeFraction, dim: int) -> float:
 def evolution_fidelity(alpha: complex, f: CoprimeFraction, t: float, dim: int) -> float:
     """|<kitten(e^{-it} alpha) | e^{-itL} | kitten(alpha)>|; identically 1 up
     to truncation error."""
-    u = np.exp(-1j * t * (np.arange(dim) + 0.5)) * kitten_vector_series(alpha, f, dim)
-    w = kitten_vector_series(cmath.exp(-1j * t) * alpha, f, dim)
-    return float(abs(np.vdot(w, u)))
+    evolved, rotated = _evolved_pair(alpha, f, t, dim)
+    return float(abs(np.vdot(rotated, evolved)))

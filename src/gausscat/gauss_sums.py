@@ -10,9 +10,10 @@ for coprime 0 < M < N.  Completing the square with the modular inverse
 d = M^{-1} mod N collapses each sum to a single root of unity of magnitude
 1/sqrt(N), with the residual sign given by a Legendre-Jacobi symbol.  This
 module provides the integer number theory (gcd, modular inverse, Jacobi
-symbol), an exact carrier for rational multiples of pi, and the three
-evaluation routes: term-by-term summation, the alternating-sign variant,
-and the closed forms.
+symbol), an exact carrier for rational multiples of pi, the one primitive
+that turns integer phase numerators into roots of unity, and two of the
+three coefficient routes: plain summation and the closed forms (the third,
+the inverse DFT, is in :mod:`gausscat.superposition`).
 
 Every phase that is known exactly is kept as a reduced rational multiple
 of pi (:class:`RationalAngle`) and converted to a complex number only at
@@ -36,12 +37,10 @@ __all__ = [
     "RationalAngle",
     "closed_coefficients",
     "direct_coefficients",
-    "gauss_coefficient_closed",
-    "gauss_coefficient_direct",
-    "gauss_sum_alternating",
     "gcd",
     "jacobi_symbol",
     "mod_inverse",
+    "unit_phase",
 ]
 
 
@@ -227,85 +226,61 @@ class ExactCoefficient:
         return f"exp(i·{self.phase})/{root}"
 
 
-def gauss_coefficient_direct(f: CoprimeFraction, k: int) -> complex:
-    """Coefficient c_k by plain summation.
+def unit_phase(nums: np.typing.ArrayLike, den: int) -> np.ndarray:
+    """exp(i*pi*nums/den) for an array of integer numerators.
 
-    Each summand's exponent is reduced exactly mod 2*pi as a RationalAngle
-    before the single complex evaluation, so the only floating-point error
-    is the final N-term accumulation.  k is reduced mod N (c_k is periodic).
+    The numerators are reduced mod 2*den as exact integers before the single
+    complex evaluation, so the phase error does not grow with their size.
+    A table of negative angles is the ``.conj()`` of the positive one, which
+    is bit-identical to evaluating exp(-i*pi*nums/den) directly.
     """
-    m, n = f.M, f.N
-    k %= n
-    total = 0.0 + 0.0j
-    for ell in range(n):
-        quad = m * ell * ell if f.n_even else m * ell * (ell - 1)
-        total += RationalAngle(-(quad + 2 * k * ell), n).to_complex()
-    return total / n
+    nums = np.asarray(nums, dtype=np.int64) % (2 * den)
+    return np.exp(1j * np.pi * nums / den)
 
 
-def gauss_sum_alternating(m: int, n: int) -> complex:
-    """The alternating Gauss sum  sum_l (-1)^l exp(-i*pi*m*l^2/n).
+def _closed_numerators(f: CoprimeFraction) -> np.ndarray:
+    """Phase numerators over 4N, reduced mod 8N, of all N closed-form
+    coefficients: c_k = exp(i*pi*num_k/(4N)) / sqrt(N).
 
-    Defined for coprime odd m, n >= 1 (this is the sum that appears when
-    both the numerator and the denominator of the fraction are odd).  Its
-    modulus is sqrt(n).
-    """
-    if n < 1 or m % 2 == 0 or n % 2 == 0:
-        raise ValueError("alternating sum needs odd m and odd positive n")
-    if _int_gcd(m, n) != 1:
-        raise ValueError("m and n must be coprime")
-    total = 0.0 + 0.0j
-    for ell in range(n):
-        # (-1)^l folded into the exponent as n*l over the same denominator
-        total += RationalAngle(-(m * ell * ell + n * ell), n).to_complex()
-    return total
+    Completing the square with d = M^{-1} mod N leaves, with j the shifted
+    index and the Jacobi sign (N/M) or (M/N) folded in as a half turn:
 
+        N even        num = M*(4 d^2 k^2 - N)
+        N odd, M even num = 4 M d^2 j^2 + N(N-1),  j = k - M/2
+        N odd, M odd  num = 4 M d^2 j^2 + N(N-1),  j = k + (N-M)/2,
+                      times the extra sign (-1)^(d j)
 
-def _closed_term(m: int, n: int, d: int, sign0: int, k: int) -> ExactCoefficient:
-    """One closed-form coefficient given d = m^{-1} mod n and the Jacobi sign."""
-    if n % 2 == 0:
-        # (1/sqrt N) e^{i pi (M/N)(d^2 k^2 - N/4)} (N/M)
-        num = m * (4 * d * d * k * k - n)
-        sign = sign0
-    elif m % 2 == 0:
-        # (1/sqrt N) e^{i pi (d^2 (k - M/2)^2 M/N + (N-1)/4)} (M/N)
-        j = k - m // 2
-        num = 4 * m * d * d * j * j + n * (n - 1)
-        sign = sign0
-    else:
-        # ((-1)^{d (k + (N-M)/2)}/sqrt N) e^{same exponent with k + (N-M)/2} (M/N)
-        j = k + (n - m) // 2
-        num = 4 * m * d * d * j * j + n * (n - 1)
-        sign = sign0 if (d * j) % 2 == 0 else -sign0
-    if sign == -1:  # fold the sign here; saves a phase re-normalization
-        num += 4 * n
-        sign = 1
-    return ExactCoefficient(sign, n, RationalAngle(num, 4 * n))
-
-
-def gauss_coefficient_closed(f: CoprimeFraction, k: int) -> ExactCoefficient:
-    """Coefficient c_k in closed form, dispatching on the parity of N and M.
-
-    All phase arithmetic is exact: the quarter-integer terms N/4 and
-    (N-1)/4 are carried over the common denominator 4N and reduced as
-    integers.  k is reduced mod N.
+    d*j is reduced mod 2N before squaring (4 M (d j)^2 mod 8N depends only
+    on d j mod 2N), and its square mod 2N again, so every intermediate stays
+    below 10 N^2 and int64 is exact for N up to about 10^9.
     """
     m, n = f.M, f.N
     d = mod_inverse(m, n)
-    sign0 = jacobi_symbol(n, m) if n % 2 == 0 else jacobi_symbol(m, n)
-    return _closed_term(m, n, d, sign0, k % n)
+    k = np.arange(n, dtype=np.int64)
+    if f.n_even:
+        sign0, j, base = jacobi_symbol(n, m), k, -m * n
+    else:
+        sign0, base = jacobi_symbol(m, n), n * (n - 1)
+        j = k - m // 2 if m % 2 == 0 else k + (n - m) // 2
+    dj = (d * j) % (2 * n)
+    num = 4 * m * (dj * dj % (2 * n)) + base
+    if sign0 == -1:
+        num += 4 * n
+    if not f.n_even and m % 2 == 1:
+        num += 4 * n * (dj % 2)
+    return num % (8 * n)
 
 
 def closed_coefficients(f: CoprimeFraction) -> list[ExactCoefficient]:
-    """All N closed-form coefficients c_0 .. c_{N-1}.
+    """All N closed-form coefficients c_0 .. c_{N-1} as exact values.
 
-    Same formula as :func:`gauss_coefficient_closed` with the modular
-    inverse and Jacobi symbol hoisted out of the loop.
+    The phase arithmetic is exact: the quarter-integer terms N/4 and
+    (N-1)/4 are carried over the common denominator 4N and reduced as
+    integers.
     """
-    m, n = f.M, f.N
-    d = mod_inverse(m, n)
-    sign0 = jacobi_symbol(n, m) if n % 2 == 0 else jacobi_symbol(m, n)
-    return [_closed_term(m, n, d, sign0, k) for k in range(n)]
+    n = f.N
+    return [ExactCoefficient(1, n, RationalAngle(num, 4 * n))
+            for num in _closed_numerators(f).tolist()]
 
 
 @lru_cache(maxsize=16)
@@ -314,16 +289,16 @@ def _direct_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     2*k*l mod 2n and the 2n-th roots e^{-i*pi*j/n}.  Callers must not mutate."""
     ell = np.arange(n, dtype=np.int64)
     cross = (2 * np.outer(ell, ell)) % (2 * n)
-    roots = np.exp(-1j * np.pi * np.arange(2 * n) / n)
+    roots = unit_phase(np.arange(2 * n), n).conj()
     return cross, roots
 
 
 def direct_coefficients(f: CoprimeFraction) -> np.ndarray:
-    """All N direct-sum coefficients at once (vectorized).
+    """All N coefficients by plain summation of the defining Gauss sums.
 
-    Same summation as :func:`gauss_coefficient_direct`: every exponent is
-    an exact integer multiple of pi/N, looked up in one table of the 2N-th
-    roots of unity.
+    Every exponent is an exact integer multiple of pi/N, reduced mod 2N and
+    looked up in one table of the 2N-th roots of unity, so the only
+    floating-point error is the final N-term accumulation.
     """
     m, n = f.M, f.N
     ell = np.arange(n, dtype=np.int64)

@@ -31,17 +31,18 @@ from .gauss_sums import (
     ExactCoefficient,
     RationalAngle,
     closed_coefficients,
+    unit_phase,
 )
 
 __all__ = [
     "KittenComponent",
     "KittenDescriptor",
     "build_descriptor",
+    "coefficient_to_dict",
     "coefficients_by_inverse_dft",
     "descriptor_from_json",
     "descriptor_to_json",
     "reference_state_table",
-    "phase_sequence",
     "verify_forward_dft",
 ]
 
@@ -108,22 +109,12 @@ def build_descriptor(f: CoprimeFraction) -> KittenDescriptor:
     return KittenDescriptor(f, "even" if f.n_even else "odd", components)
 
 
-def phase_sequence(f: CoprimeFraction) -> tuple[RationalAngle, ...]:
-    """The target phases exp(-i*pi*M*n*(n-1)/N) (N odd) or exp(-i*pi*M*n^2/N)
-    (N even) for n = 0 .. N-1, as exact angles."""
-    m, n = f.M, f.N
-    if f.n_even:
-        return tuple(RationalAngle(-m * j * j, n) for j in range(n))
-    return tuple(RationalAngle(-m * j * (j - 1), n) for j in range(n))
-
-
 def _target_values(f: CoprimeFraction) -> np.ndarray:
-    """Complex values of the phase sequence, with the same exact mod-2*pi
-    integer reduction but vectorized (the sweeps call this in bulk)."""
+    """The target phases exp(-i*pi*M*n*(n-1)/N) (N odd) or exp(-i*pi*M*n^2/N)
+    (N even) for n = 0 .. N-1, from exact integer numerators."""
     m, n = f.M, f.N
     j = np.arange(n, dtype=np.int64)
-    quad = (-m * j * j) % (2 * n) if f.n_even else (-m * j * (j - 1)) % (2 * n)
-    return np.exp(1j * np.pi * quad / n)
+    return unit_phase(-m * j * j if f.n_even else -m * j * (j - 1), n)
 
 
 @lru_cache(maxsize=16)
@@ -131,7 +122,7 @@ def _dft_matrix(n: int) -> np.ndarray:
     """The inverse-transform matrix exp(-2*pi*i*k*l/n) with exponents reduced
     mod n before evaluation; cached per order.  Callers must not mutate."""
     idx = np.outer(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64)) % n
-    return np.exp(-2j * np.pi * np.arange(n) / n)[idx]
+    return unit_phase(2 * np.arange(n), n).conj()[idx]
 
 
 def coefficients_by_inverse_dft(f: CoprimeFraction) -> np.ndarray:
@@ -215,6 +206,16 @@ def reference_state_table() -> list[tuple[CoprimeFraction, KittenDescriptor]]:
     return table
 
 
+def coefficient_to_dict(c: ExactCoefficient) -> dict:
+    """The wire form of one exact coefficient: sign * exp(i*pi*num/den) / sqrt(inv_sqrt)."""
+    return {
+        "sign": c.sign,
+        "phase_num": c.phase.num,
+        "phase_den": c.phase.den,
+        "inv_sqrt": c.inv_sqrt_n,
+    }
+
+
 def descriptor_to_json(desc: KittenDescriptor) -> str:
     """Serialize a descriptor to the stable JSON wire format.
 
@@ -228,12 +229,7 @@ def descriptor_to_json(desc: KittenDescriptor) -> str:
         "components": [
             {
                 "k": c.k,
-                "coeff": {
-                    "sign": c.coefficient.sign,
-                    "phase_num": c.coefficient.phase.num,
-                    "phase_den": c.coefficient.phase.den,
-                    "inv_sqrt": c.coefficient.inv_sqrt_n,
-                },
+                "coeff": coefficient_to_dict(c.coefficient),
                 "rotation": {"num": c.rotation.num, "den": c.rotation.den},
             }
             for c in desc.components

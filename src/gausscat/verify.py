@@ -29,7 +29,7 @@ from .superposition import (
     reference_state_table,
     verify_forward_dft,
 )
-from .wavefunc import GridSpec, WaveSample, hermite_basis, mehler_kernel
+from .wavefunc import GridSpec, hermite_basis, mehler_kernel
 
 __all__ = [
     "CheckResult",
@@ -38,6 +38,7 @@ __all__ = [
     "VerifyConfig",
     "coprime_fractions",
     "run_checks",
+    "spectral_error",
 ]
 
 GROUPS = ("gauss", "fock", "wavefunc")
@@ -200,18 +201,22 @@ def check_time_evolution(cfg: VerifyConfig) -> CheckResult:
     return _result("fock", "time-evolution", worst, f"t in {{{times}}}")
 
 
+def spectral_error(grid: GridSpec, phi: float, n_max: int) -> float:
+    """max over n <= n_max and the grid of |F_phi psi_n - exp(-i*phi*n) psi_n|,
+    with F_phi the trapezoid quadrature of the dense Mehler kernel."""
+    x = grid.x()
+    basis = hermite_basis(n_max, x)
+    kernel = mehler_kernel(x[:, None], x[None, :], phi)
+    transformed = (grid.trapezoid_weights() * basis) @ kernel.T
+    expected = np.exp(-1j * phi * np.arange(n_max + 1))[:, None] * basis
+    return float(np.abs(transformed - expected).max())
+
+
 def check_kernel_spectral(cfg: VerifyConfig) -> CheckResult:
     """frac_fourier must act on psi_n as multiplication by exp(-i*phi*n);
     the single strongest probe of the kernel normalization."""
-    x = cfg.grid.x()
-    weights = cfg.grid.trapezoid_weights()
-    basis = hermite_basis(cfg.spectral_n_max, x)
-    worst = 0.0
-    for phi in cfg.spectral_angles:
-        kernel = mehler_kernel(x[:, None], x[None, :], phi)
-        transformed = (weights * basis) @ kernel.T
-        expected = np.exp(-1j * phi * np.arange(cfg.spectral_n_max + 1))[:, None] * basis
-        worst = max(worst, float(np.abs(transformed - expected).max()))
+    worst = max(spectral_error(cfg.grid, phi, cfg.spectral_n_max)
+                for phi in cfg.spectral_angles)
     angles = ", ".join(f"{p:.4f}" for p in cfg.spectral_angles)
     return _result("wavefunc", "kernel-spectral", worst,
                    f"n <= {cfg.spectral_n_max}, phi in {{{angles}}}")

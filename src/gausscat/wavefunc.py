@@ -34,14 +34,12 @@ __all__ = [
     "frac_fourier",
     "geneq_residual",
     "hermite_basis",
-    "hermite_values",
     "kitten_wave_sample",
     "mehler_kernel",
     "psi_cat_F",
     "psi_cat_F_inverse",
     "psi_cat_P",
     "psi_coherent",
-    "psi_n",
     "reduce_angle",
     "superposition_wavefunction",
 ]
@@ -63,8 +61,8 @@ class GridSpec:
     points: int
 
     def __post_init__(self) -> None:
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not 0 < self.half_width < math.inf:
+            raise ValueError("half_width must be positive and finite")
         if self.points < 3 or self.points % 2 == 0:
             raise ValueError("points must be an odd integer >= 3")
 
@@ -97,24 +95,6 @@ class WaveSample:
         return math.sqrt(float(self.grid.trapezoid_weights() @ np.abs(self.values) ** 2))
 
 
-def hermite_values(n_max: int, x: float) -> np.ndarray:
-    """Hermite polynomials H_0(x) .. H_{n_max}(x) by the recurrence
-    H_{n+1} = 2x H_n - 2n H_{n-1}.  Raises on overflow instead of silently
-    returning infinities."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    out = np.empty(n_max + 1)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = 2.0 * x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_max):
-            out[n + 1] = 2.0 * x * out[n] - 2.0 * n * out[n - 1]
-    if not np.all(np.isfinite(out)):
-        raise OverflowError(f"Hermite recurrence overflowed at n_max={n_max}, x={x}")
-    return out
-
-
 def hermite_basis(n_max: int, x: np.ndarray) -> np.ndarray:
     """Orthonormal oscillator eigenfunctions psi_0 .. psi_{n_max} sampled on
     x, returned as an (n_max+1, len(x)) array.
@@ -132,13 +112,6 @@ def hermite_basis(n_max: int, x: np.ndarray) -> np.ndarray:
         basis[n + 1] = (math.sqrt(2.0 / (n + 1)) * x * basis[n]
                         - math.sqrt(n / (n + 1)) * basis[n - 1])
     return basis
-
-
-def psi_n(n: int, x: float) -> float:
-    """The n-th oscillator eigenfunction at a single point."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return float(hermite_basis(n, np.array([x]))[n, 0])
 
 
 def psi_coherent(alpha: complex, x) -> np.ndarray | complex:

@@ -130,6 +130,35 @@ class TestWavefunction:
             main(["wavefunction", "1", "3", "--alpha", "nope"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("args, flag", [
+        (("wavefunction", "1", "3", "--alpha", "0,0", "--dim", "0"), "--dim"),
+        (("wavefunction", "1", "3", "--dim", "-3"), "--dim"),
+        (("evolve", "1", "3", "--alpha", "0,0", "--dim", "0"), "--dim"),
+        (("wavefunction", "1", "3", "--alpha", "nan,0"), "--alpha"),
+        (("wavefunction", "1", "3", "--alpha", "0,nan"), "--alpha"),
+        (("wavefunction", "1", "3", "--alpha", "inf,0"), "--alpha"),
+        (("evolve", "1", "3", "--alpha", "-inf,0"), "--alpha"),
+        (("evolve", "1", "3", "--t", "nan"), "--t"),
+        (("evolve", "1", "3", "--t", "inf"), "--t"),
+        (("wavefunction", "1", "3", "--grid-half-width", "nan"), "--grid-half-width"),
+        (("wavefunction", "1", "3", "--grid-points", "4"), "--grid-points"),
+        (("verify", "--coeff-nmax", "1"), "--coeff-nmax"),
+        (("verify", "--fock-nmax", "1"), "--fock-nmax"),
+    ])
+    def test_bad_input_is_usage_error_naming_the_flag(self, capsys, args, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(list(args))
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_alpha_zero_passes_the_guard_at_any_dimension(self, capsys):
+        # the vacuum is exact at every dim >= 1, so the guard never fires at alpha = 0
+        args = ("wavefunction", "1", "3", "--alpha", "0,0", "--grid-points", "201")
+        _, default_dim, _ = run_cli(capsys, *args)
+        code, small_dim, _ = run_cli(capsys, *args, "--dim", "8")
+        assert code == 0
+        assert small_dim == default_dim
+
 
 class TestEvolve:
     def test_fidelity_is_unity(self, capsys):
@@ -149,19 +178,19 @@ class TestEvolve:
 
 
 def _flip_odd_odd_sign(monkeypatch):
-    """Drop-in mutation: negate every odd-N, odd-M closed coefficient."""
+    """Drop-in mutation: negate every odd-N, odd-M closed coefficient by
+    adding a half turn (4N over the denominator 4N) to its phase numerator."""
     import gausscat.gauss_sums as gs
-    from gausscat.gauss_sums import ExactCoefficient
 
-    original = gs._closed_term
+    original = gs._closed_numerators
 
-    def mutated(m, n, d, sign0, k):
-        c = original(m, n, d, sign0, k)
-        if n % 2 == 1 and m % 2 == 1:
-            return ExactCoefficient(-1, c.inv_sqrt_n, c.phase)
-        return c
+    def mutated(f):
+        nums = original(f)
+        if f.N % 2 == 1 and f.M % 2 == 1:
+            return (nums + 4 * f.N) % (8 * f.N)
+        return nums
 
-    monkeypatch.setattr(gs, "_closed_term", mutated)
+    monkeypatch.setattr(gs, "_closed_numerators", mutated)
 
 
 class TestMutationDetection:

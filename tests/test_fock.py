@@ -25,6 +25,7 @@ from gausscat.fock import (
     required_dimension,
     rotation_diagonal,
     time_evolution_residual,
+    within_truncation_guard,
 )
 from gausscat.gauss_sums import CoprimeFraction
 from gausscat.superposition import build_descriptor
@@ -61,6 +62,14 @@ class TestCoherentVector:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             coherent_vector(1.0, 32)
+
+    def test_guard_never_fires_at_alpha_zero(self):
+        # the vacuum is exact at any dim >= 1, though dim - 4*sqrt(dim) < 0 below 16
+        assert all(within_truncation_guard(0.0, dim) for dim in range(1, 20))
+        assert not within_truncation_guard(0.1, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coherent_vector(0.0, 1)
 
     def test_required_dimension_satisfies_guard(self):
         for alpha in (0.5, 2.0, 6.0, 3.0 + 4.0j):

@@ -12,14 +12,13 @@ from gausscat.gauss_sums import (
     CoprimeFraction,
     ExactCoefficient,
     RationalAngle,
+    _closed_numerators,
     closed_coefficients,
     direct_coefficients,
-    gauss_coefficient_closed,
-    gauss_coefficient_direct,
-    gauss_sum_alternating,
     gcd,
     jacobi_symbol,
     mod_inverse,
+    unit_phase,
 )
 
 
@@ -202,75 +201,126 @@ class TestCoprimeFraction:
             CoprimeFraction(m, n)
 
 
+class TestUnitPhase:
+    @given(st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=40),
+           st.integers(1, 500))
+    def test_matches_exact_scalar_phase(self, nums, den):
+        # numerators far outside [0, 2*den), negative ones included
+        want = np.array([RationalAngle(num, den).to_complex() for num in nums])
+        assert np.abs(unit_phase(nums, den) - want).max() < 5e-15
+
+
+def _direct_reference(f, k):
+    """The defining sum term by term, each exponent reduced exactly as a
+    RationalAngle before its complex evaluation."""
+    m, n = f.M, f.N
+    total = 0.0 + 0.0j
+    for ell in range(n):
+        quad = m * ell * ell if f.n_even else m * ell * (ell - 1)
+        total += RationalAngle(-(quad + 2 * k * ell), n).to_complex()
+    return total / n
+
+
+def _closed_reference(m, n):
+    """Closed-form phase numerators over 4n, reduced mod 8n, in unbounded
+    Python integers: the square completed with d = m^{-1} mod n, and the
+    Jacobi sign added as a half turn."""
+    d = mod_inverse(m, n)
+    out = []
+    for k in range(n):
+        if n % 2 == 0:
+            num = m * (4 * d * d * k * k - n)
+            sign = jacobi_symbol(n, m)
+        else:
+            j = k - m // 2 if m % 2 == 0 else k + (n - m) // 2
+            num = 4 * m * d * d * j * j + n * (n - 1)
+            sign = jacobi_symbol(m, n)
+            if m % 2 == 1 and (d * j) % 2 == 1:
+                sign = -sign
+        out.append((num + (4 * n if sign == -1 else 0)) % (8 * n))
+    return out
+
+
 class TestDirectRoute:
     def test_parity_cat_coefficients(self):
-        f = CoprimeFraction(1, 2)
+        c = direct_coefficients(CoprimeFraction(1, 2))
         root2 = math.sqrt(2)
-        assert abs(gauss_coefficient_direct(f, 0) - cmath.exp(-0.25j * math.pi) / root2) < 1e-15
-        assert abs(gauss_coefficient_direct(f, 1) - cmath.exp(0.25j * math.pi) / root2) < 1e-15
+        assert abs(c[0] - cmath.exp(-0.25j * math.pi) / root2) < 1e-15
+        assert abs(c[1] - cmath.exp(0.25j * math.pi) / root2) < 1e-15
 
     def test_triangular_coefficient(self):
-        f = CoprimeFraction(1, 3)
-        assert abs(gauss_coefficient_direct(f, 2) - 1j / math.sqrt(3)) < 1e-15
+        assert abs(direct_coefficients(CoprimeFraction(1, 3))[2] - 1j / math.sqrt(3)) < 1e-15
 
-    def test_periodicity(self):
-        f = CoprimeFraction(2, 7)
-        for k in range(7):
-            assert gauss_coefficient_direct(f, k + 7) == gauss_coefficient_direct(f, k)
-
-    @given(coprime_fractions_st(n_max=40), st.integers(-100, 100))
-    def test_magnitude_law(self, f, k):
-        assert abs(abs(gauss_coefficient_direct(f, k)) - 1 / math.sqrt(f.N)) < 1e-10
+    @given(coprime_fractions_st(n_max=40))
+    def test_magnitude_law(self, f):
+        assert np.abs(np.abs(direct_coefficients(f)) - 1 / math.sqrt(f.N)).max() < 1e-10
 
     @given(coprime_fractions_st(n_max=40))
     def test_vectorized_matches_scalar(self, f):
         vec = direct_coefficients(f)
-        scalar = np.array([gauss_coefficient_direct(f, k) for k in range(f.N)])
+        scalar = np.array([_direct_reference(f, k) for k in range(f.N)])
         assert np.abs(vec - scalar).max() < 1e-14
 
 
 class TestClosedRoute:
     def test_parity_cat_exact_phase(self):
-        c = gauss_coefficient_closed(CoprimeFraction(1, 2), 0)
+        c = closed_coefficients(CoprimeFraction(1, 2))[0]
         assert c == ExactCoefficient(1, 2, RationalAngle(7, 4))
 
     def test_compass_unit_coefficient(self):
-        c = gauss_coefficient_closed(CoprimeFraction(3, 4), 3)
+        c = closed_coefficients(CoprimeFraction(3, 4))[3]
         assert c == ExactCoefficient(1, 4, RationalAngle(0, 1))
 
     def test_even_numerator_branch(self):
-        c = gauss_coefficient_closed(CoprimeFraction(2, 3), 1)
+        c = closed_coefficients(CoprimeFraction(2, 3))[1]
         assert c == ExactCoefficient(1, 3, RationalAngle(3, 2))
 
     def test_odd_odd_branch(self):
-        c = gauss_coefficient_closed(CoprimeFraction(1, 3), 0)
+        c = closed_coefficients(CoprimeFraction(1, 3))[0]
         assert c == ExactCoefficient(1, 3, RationalAngle(11, 6))
 
-    def test_periodicity_exact(self):
-        f = CoprimeFraction(3, 8)
-        for k in range(8):
-            assert gauss_coefficient_closed(f, k + 8) == gauss_coefficient_closed(f, k)
-
     def test_closed_coefficients_matches_per_k(self):
-        f = CoprimeFraction(5, 12)
-        assert closed_coefficients(f) == [gauss_coefficient_closed(f, k) for k in range(12)]
+        for f in (CoprimeFraction(5, 12), CoprimeFraction(4, 15), CoprimeFraction(7, 15)):
+            want = [ExactCoefficient(1, f.N, RationalAngle(num, 4 * f.N))
+                    for num in _closed_reference(f.M, f.N)]
+            assert closed_coefficients(f) == want
 
     @given(coprime_fractions_st(n_max=60), st.integers(0, 59))
     def test_closed_matches_direct(self, f, k):
-        want = gauss_coefficient_direct(f, k)
-        got = gauss_coefficient_closed(f, k).to_complex()
+        k %= f.N
+        want = direct_coefficients(f)[k]
+        got = closed_coefficients(f)[k].to_complex()
         assert abs(want - got) < 1e-12
+
+    @pytest.mark.parametrize("m, n", [
+        (12347, 20000),     # N even
+        (99999, 100000),    # N even, M = N - 1
+        (40000, 50021),     # N odd, M even
+        (2, 99999),         # N odd, M even
+        (3, 49999),         # N odd, M odd
+        (77777, 99991),     # N odd, M odd
+    ])
+    def test_int64_numerators_match_python_integers(self, m, n):
+        # 4*M*(d*k)^2 alone would overflow int64 near N = 5,000 without the
+        # mod-2N reduction of d*k; compare every k against unbounded integers
+        f = CoprimeFraction(m, n)
+        got = _closed_numerators(f).tolist()
+        assert got == _closed_reference(m, n)
 
 
 class TestAlternatingSum:
+    """The sum over l of (-1)^l exp(-i*pi*m*l^2/n) for coprime odd m, n, the
+    sum behind the odd-odd closed form, evaluated through unit_phase with
+    the sign folded into the numerator as n*l."""
+
+    @staticmethod
+    def _alternating(m, n):
+        ell = np.arange(n, dtype=np.int64)
+        return unit_phase(-(m * ell * ell + n * ell), n).sum()
+
     def test_single_term(self):
-        assert gauss_sum_alternating(1, 1) == 1.0 + 0.0j
+        assert self._alternating(1, 1) == 1.0 + 0.0j
 
     @pytest.mark.parametrize("m, n", [(1, 3), (3, 5), (5, 9), (7, 11)])
     def test_modulus_is_sqrt_n(self, m, n):
-        assert abs(abs(gauss_sum_alternating(m, n)) - math.sqrt(n)) < 1e-12
-
-    @pytest.mark.parametrize("m, n", [(2, 3), (1, 4), (3, 9)])
-    def test_preconditions(self, m, n):
-        with pytest.raises(ValueError):
-            gauss_sum_alternating(m, n)
+        assert abs(abs(self._alternating(m, n)) - math.sqrt(n)) < 1e-12

@@ -13,12 +13,12 @@ from gausscat.gauss_sums import CoprimeFraction, ExactCoefficient, RationalAngle
 from gausscat.superposition import (
     KittenComponent,
     KittenDescriptor,
+    _target_values,
     build_descriptor,
     coefficients_by_inverse_dft,
     descriptor_from_json,
     descriptor_to_json,
     reference_state_table,
-    phase_sequence,
     verify_forward_dft,
 )
 
@@ -144,22 +144,28 @@ class TestForwardDft:
             verify_forward_dft(CoprimeFraction(1, 3), np.ones(4, dtype=complex))
 
 
+def _exact_phase_sequence(f):
+    """exp(-i*pi*M*n*(n-1)/N) (N odd) or exp(-i*pi*M*n^2/N) (N even) as exact angles."""
+    m, n = f.M, f.N
+    if f.n_even:
+        return [RationalAngle(-m * j * j, n) for j in range(n)]
+    return [RationalAngle(-m * j * (j - 1), n) for j in range(n)]
+
+
 class TestPhaseSequence:
     def test_odd_quadratic_phases(self):
-        seq = phase_sequence(CoprimeFraction(1, 3))
-        assert [(t.num, t.den) for t in seq] == [(0, 1), (0, 1), (4, 3)]
+        # exp(-i pi n(n-1) / 3) for n = 0, 1, 2: 1, 1, exp(4 pi i / 3)
+        want = np.array([1.0, 1.0, cmath.exp(4j * math.pi / 3)])
+        assert np.abs(_target_values(CoprimeFraction(1, 3)) - want).max() < 5e-16
 
     def test_even_quadratic_phases(self):
-        seq = phase_sequence(CoprimeFraction(1, 2))
-        # exp(-i pi n^2 / 2) for n = 0, 1
-        assert [(t.num, t.den) for t in seq] == [(0, 1), (3, 2)]
+        # exp(-i pi n^2 / 2) for n = 0, 1: 1 and -i
+        assert np.abs(_target_values(CoprimeFraction(1, 2)) - [1.0, -1.0j]).max() < 5e-16
 
     @settings(max_examples=60)
     @given(coprime_fractions_st())
     def test_vectorized_targets_match_exact_sequence(self, f):
-        from gausscat.superposition import _target_values
-
-        exact = np.array([t.to_complex() for t in phase_sequence(f)])
+        exact = np.array([t.to_complex() for t in _exact_phase_sequence(f)])
         assert np.abs(_target_values(f) - exact).max() < 5e-15
 
 

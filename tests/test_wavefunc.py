@@ -17,14 +17,12 @@ from gausscat.wavefunc import (
     frac_fourier,
     geneq_residual,
     hermite_basis,
-    hermite_values,
     kitten_wave_sample,
     mehler_kernel,
     psi_cat_F,
     psi_cat_F_inverse,
     psi_cat_P,
     psi_coherent,
-    psi_n,
     reduce_angle,
     superposition_wavefunction,
 )
@@ -38,7 +36,8 @@ class TestGridSpec:
         assert grid.spacing == 1.0
         assert np.array_equal(grid.x(), [-2.0, -1.0, 0.0, 1.0, 2.0])
 
-    @pytest.mark.parametrize("hw, points", [(0.0, 5), (-1.0, 5), (2.0, 4), (2.0, 1)])
+    @pytest.mark.parametrize("hw, points", [(0.0, 5), (-1.0, 5), (2.0, 4), (2.0, 1),
+                                            (math.nan, 5), (math.inf, 5)])
     def test_invalid_rejected(self, hw, points):
         with pytest.raises(ValueError):
             GridSpec(hw, points)
@@ -48,27 +47,33 @@ class TestGridSpec:
         assert np.array_equal(w, [0.5, 1.0, 1.0, 1.0, 0.5])
 
 
+def _hermite_polynomials(n_max, x):
+    """H_0(x) .. H_{n_max}(x) read back from the normalized basis through
+    psi_n(x) = H_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi))."""
+    psi = hermite_basis(n_max, np.array([x]))[:, 0]
+    norms = [math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi))
+             for n in range(n_max + 1)]
+    return psi * norms * math.exp(0.5 * x * x)
+
+
 class TestHermite:
     @pytest.mark.parametrize("x", [-1.5, 0.0, 3.0])
     def test_base_cases(self, x):
-        values = hermite_values(1, x)
-        assert values[0] == 1.0 and values[1] == 2.0 * x
+        values = _hermite_polynomials(1, x)
+        assert abs(values[0] - 1.0) < 1e-14 and abs(values[1] - 2.0 * x) < 1e-14
 
     def test_known_values(self):
-        assert hermite_values(2, 3.0)[2] == 34.0
-        assert hermite_values(3, 1.0)[3] == -4.0
-
-    def test_overflow_raises(self):
-        with pytest.raises(OverflowError):
-            hermite_values(400, 40.0)
+        # H_2(3) = 34, H_3(1) = -4: an oracle independent of the recurrence
+        assert abs(_hermite_polynomials(2, 3.0)[2] - 34.0) < 1e-12
+        assert abs(_hermite_polynomials(3, 1.0)[3] + 4.0) < 1e-13
 
 
 class TestPsiN:
     def test_gaussian_peak(self):
-        assert abs(psi_n(0, 0.0) - math.pi ** -0.25) < 1e-15
+        assert abs(hermite_basis(0, np.array([0.0]))[0, 0] - math.pi ** -0.25) < 1e-15
 
     def test_odd_function_vanishes_at_origin(self):
-        assert psi_n(1, 0.0) == 0.0
+        assert hermite_basis(1, np.array([0.0]))[1, 0] == 0.0
 
     def test_orthonormality_quadrature(self):
         grid = GridSpec(10.0, 2001)
@@ -76,13 +81,6 @@ class TestPsiN:
         w = grid.trapezoid_weights()
         assert abs((w * basis[3]) @ basis[5]) < 1e-8
         assert abs((w * basis[5]) @ basis[5] - 1.0) < 1e-8
-
-    def test_basis_matches_scalar(self):
-        x = np.array([-2.3, 0.4, 1.7])
-        basis = hermite_basis(7, x)
-        for n in (0, 3, 7):
-            for j, xi in enumerate(x):
-                assert abs(basis[n, j] - psi_n(n, float(xi))) < 1e-14
 
 
 class TestPsiCoherent:
