@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -226,18 +226,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     results = run_checks(cfg, groups)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
-        obj = [
-            {
-                "group": r.group,
-                "name": r.name,
-                "value": r.value,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-                "detail": r.detail,
-            }
-            for r in results
-        ]
-        print(json.dumps(obj, indent=2))
+        print(json.dumps([asdict(r) for r in results], indent=2))
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"

@@ -49,10 +49,21 @@ class TruncationWarning(UserWarning):
 
 
 def required_dimension(alpha: complex) -> int:
-    """Smallest D satisfying the truncation guard |alpha|^2 <= D - 4*sqrt(D)."""
+    """Smallest dim that passes ``within_truncation_guard``.
+
+    That is 1 for alpha = 0, and otherwise the first integer at or above the
+    root (2 + sqrt(4 + |alpha|^2))^2 of |alpha|^2 = dim - 4*sqrt(dim).  The
+    guard is evaluated on each side of the rounded root, so rounding cannot
+    return a dim that fails it (as 16 would for |alpha|^2 = 1e-300) or one
+    past the smallest that passes.
+    """
     a2 = abs(alpha) ** 2
-    root = (4.0 + math.sqrt(16.0 + 4.0 * a2)) / 2.0
-    return max(1, math.ceil(root * root))
+    if a2 == 0:
+        return 1
+    dim = math.ceil((2.0 + math.sqrt(4.0 + a2)) ** 2)
+    if within_truncation_guard(alpha, dim - 1):
+        return dim - 1
+    return dim if within_truncation_guard(alpha, dim) else dim + 1
 
 
 def within_truncation_guard(alpha: complex, dim: int) -> bool:
@@ -84,23 +95,16 @@ def creation_matrix(dim: int) -> np.ndarray:
     return annihilation_matrix(dim).T.conj()
 
 
-def rotation_diagonal(f: CoprimeFraction | None, dim: int) -> np.ndarray:
-    """Diagonal of U(phi) = exp(-i*phi*(L - 1/2)): entries exp(-i*phi*n).
-
-    ``f = None`` selects phi = 0, the identity.
-    """
-    if f is None:
-        return np.ones(dim, dtype=complex)
+def rotation_diagonal(f: CoprimeFraction, dim: int) -> np.ndarray:
+    """Diagonal of U(phi) = exp(-i*phi*(L - 1/2)): entries exp(-i*phi*n)."""
     return unit_phase(-2 * f.M * np.arange(dim, dtype=np.int64), f.N)
 
 
-def kerr_diagonal(f: CoprimeFraction | None, dim: int) -> np.ndarray:
+def kerr_diagonal(f: CoprimeFraction, dim: int) -> np.ndarray:
     """Diagonal of the Kerr unitary G(phi): entries exp(i*phi*n*(n-1)/2).
 
     On |n> the generator (L - 1/2)(L - 3/2) acts as n*(n-1).
     """
-    if f is None:
-        return np.ones(dim, dtype=complex)
     n = np.arange(dim, dtype=np.int64)
     return unit_phase(f.M * n * (n - 1), f.N)
 
@@ -122,14 +126,11 @@ def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
     return v
 
 
-def kitten_vector_series(alpha: complex, f: CoprimeFraction | None, dim: int) -> np.ndarray:
+def kitten_vector_series(alpha: complex, f: CoprimeFraction, dim: int) -> np.ndarray:
     """Kitten state as a number-basis series: coherent entries times the
     quadratic phase exp(-i*phi*n*(n-1)/2), phi = 2*pi*M/N."""
-    v = coherent_vector(alpha, dim)
-    if f is None:
-        return v
     n = np.arange(dim, dtype=np.int64)
-    return v * unit_phase(-f.M * n * (n - 1), f.N)
+    return coherent_vector(alpha, dim) * unit_phase(-f.M * n * (n - 1), f.N)
 
 
 def kitten_vector_superposition(alpha: complex, desc: KittenDescriptor, dim: int) -> np.ndarray:

@@ -9,11 +9,11 @@ are normalized quadratic Gauss sums
 for coprime 0 < M < N.  Completing the square with the modular inverse
 d = M^{-1} mod N collapses each sum to a single root of unity of magnitude
 1/sqrt(N), with the residual sign given by a Legendre-Jacobi symbol.  This
-module provides the integer number theory (gcd, modular inverse, Jacobi
-symbol), an exact carrier for rational multiples of pi, the one primitive
-that turns integer phase numerators into roots of unity, and two of the
-three coefficient routes: plain summation and the closed forms (the third,
-the inverse DFT, is in :mod:`gausscat.superposition`).
+module provides the integer number theory (modular inverse, Jacobi symbol),
+an exact carrier for rational multiples of pi, the one primitive that turns
+integer phase numerators into roots of unity, and two of the three
+coefficient routes: plain summation and the closed forms (the third, the
+inverse DFT, is in :mod:`gausscat.superposition`).
 
 Every phase that is known exactly is kept as a reduced rational multiple
 of pi (:class:`RationalAngle`) and converted to a complex number only at
@@ -27,7 +27,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd as _int_gcd
 
 import numpy as np
 
@@ -37,24 +36,10 @@ __all__ = [
     "RationalAngle",
     "closed_coefficients",
     "direct_coefficients",
-    "gcd",
     "jacobi_symbol",
     "mod_inverse",
     "unit_phase",
 ]
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative integers.
-
-    Unlike ``math.gcd`` this rejects the degenerate (0, 0) input, for which
-    no greatest divisor exists.
-    """
-    if a < 0 or b < 0:
-        raise ValueError("gcd expects nonnegative integers")
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return _int_gcd(a, b)
 
 
 def mod_inverse(m: int, n: int) -> int:
@@ -66,7 +51,7 @@ def mod_inverse(m: int, n: int) -> int:
         raise ValueError("modulus must be a positive integer")
     if n == 1:
         return 1
-    g = _int_gcd(m % n, n)
+    g = math.gcd(m % n, n)
     if g != 1:
         raise ValueError(f"{m} has no inverse mod {n} (gcd = {g})")
     return pow(m, -1, n)
@@ -113,27 +98,13 @@ class RationalAngle:
         if self.den <= 0:
             raise ValueError("denominator must be positive")
         num = self.num % (2 * self.den)
-        g = _int_gcd(num, self.den) if num else self.den
+        g = math.gcd(num, self.den) if num else self.den
         object.__setattr__(self, "num", num // g)
         object.__setattr__(self, "den", self.den // g)
 
     def __add__(self, other: "RationalAngle") -> "RationalAngle":
         return RationalAngle(self.num * other.den + other.num * self.den,
                              self.den * other.den)
-
-    def __neg__(self) -> "RationalAngle":
-        return RationalAngle(-self.num, self.den)
-
-    def __sub__(self, other: "RationalAngle") -> "RationalAngle":
-        return self + (-other)
-
-    def scaled(self, k: int) -> "RationalAngle":
-        """The angle multiplied by an integer k."""
-        return RationalAngle(self.num * k, self.den)
-
-    @property
-    def radians(self) -> float:
-        return math.pi * self.num / self.den
 
     def to_complex(self) -> complex:
         """exp(i*pi*num/den), exact at quarter-turn multiples.
@@ -170,18 +141,13 @@ class CoprimeFraction:
             raise TypeError("M and N must be integers")
         if not 0 < self.M < self.N:
             raise ValueError(f"need 0 < M < N, got M={self.M}, N={self.N}")
-        g = _int_gcd(self.M, self.N)
+        g = math.gcd(self.M, self.N)
         if g != 1:
             raise ValueError(f"M and N must be coprime (gcd = {g})")
 
     @property
     def n_even(self) -> bool:
         return self.N % 2 == 0
-
-    @property
-    def angle(self) -> RationalAngle:
-        """2*pi*M/N as a multiple of pi."""
-        return RationalAngle(2 * self.M, self.N)
 
     @property
     def angle_radians(self) -> float:
@@ -209,10 +175,6 @@ class ExactCoefficient:
         if self.sign == -1:
             object.__setattr__(self, "phase", self.phase + RationalAngle(1))
             object.__setattr__(self, "sign", 1)
-
-    @property
-    def magnitude(self) -> float:
-        return 1.0 / math.sqrt(self.inv_sqrt_n)
 
     def to_complex(self) -> complex:
         return self.sign * self.phase.to_complex() / math.sqrt(self.inv_sqrt_n)
@@ -283,10 +245,13 @@ def closed_coefficients(f: CoprimeFraction) -> list[ExactCoefficient]:
             for num in _closed_numerators(f).tolist()]
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _direct_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-denominator tables for the vectorized direct sum: the cross terms
-    2*k*l mod 2n and the 2n-th roots e^{-i*pi*j/n}.  Callers must not mutate."""
+    2*k*l mod 2n and the 2n-th roots e^{-i*pi*j/n}.  Callers must not mutate.
+
+    One entry is enough: the verify sweep visits each N once, in order, and
+    a CLI command uses one N; more would only hold N x N tables alive."""
     ell = np.arange(n, dtype=np.int64)
     cross = (2 * np.outer(ell, ell)) % (2 * n)
     roots = unit_phase(np.arange(2 * n), n).conj()

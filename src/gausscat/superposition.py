@@ -85,9 +85,6 @@ class KittenDescriptor:
         if len(rotations) != n:
             raise ValueError("rotations must be distinct mod 2*pi")
 
-    def rotations(self) -> list[RationalAngle]:
-        return [c.rotation for c in self.components]
-
     def coefficient_values(self) -> np.ndarray:
         return np.array([c.coefficient.to_complex() for c in self.components])
 
@@ -117,10 +114,11 @@ def _target_values(f: CoprimeFraction) -> np.ndarray:
     return unit_phase(-m * j * j if f.n_even else -m * j * (j - 1), n)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _dft_matrix(n: int) -> np.ndarray:
     """The inverse-transform matrix exp(-2*pi*i*k*l/n) with exponents reduced
-    mod n before evaluation; cached per order.  Callers must not mutate."""
+    mod n before evaluation; cached for the latest order only, as
+    ``gauss_sums._direct_tables`` is.  Callers must not mutate."""
     idx = np.outer(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64)) % n
     return unit_phase(2 * np.arange(n), n).conj()[idx]
 

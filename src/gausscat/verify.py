@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import product
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -95,110 +96,100 @@ class VerifyConfig:
     cat_x_points: int = 481
 
 
-def coprime_fractions(n_max: int, n_min: int = 2) -> Iterator[CoprimeFraction]:
-    """All reduced fractions M/N with n_min <= N <= n_max, ordered by (N, M)."""
-    for n in range(n_min, n_max + 1):
+def coprime_fractions(n_max: int) -> Iterator[CoprimeFraction]:
+    """All reduced fractions M/N with 2 <= N <= n_max, ordered by (N, M)."""
+    for n in range(2, n_max + 1):
         for m in range(1, n):
             if math.gcd(m, n) == 1:
                 yield CoprimeFraction(m, n)
 
 
-def _result(group: str, name: str, value: float, detail: str = "") -> CheckResult:
-    tol = TOLERANCES[name]
-    return CheckResult(group, name, value, tol, value <= tol, detail)
+def _sweep(group: str, names: Sequence[str], rows: Iterable[Sequence[float]],
+           detail: str) -> list[CheckResult]:
+    """One result per residual column: the worst value of that column over
+    all rows, one row per case.
+
+    This is the only place a check's value is reduced.  A NaN residual
+    propagates to the value and fails the check, and a sweep over no cases
+    at all has value inf and fails too.  "{cases}" in ``detail`` becomes the
+    number of cases.
+    """
+    table = np.array(list(rows), dtype=float).reshape(-1, len(names))
+    worst = table.max(axis=0) if len(table) else np.full(len(names), np.inf)
+    detail = detail.replace("{cases}", str(len(table)))
+    return [CheckResult(group, name, value, TOLERANCES[name], value <= TOLERANCES[name], detail)
+            for name, value in zip(names, worst.tolist())]
+
+
+def _fock_detail(cfg: VerifyConfig) -> str:
+    return f"N <= {cfg.fock_n_max}, dim {cfg.dim}"
 
 
 def check_golden_states() -> CheckResult:
     """Exact rational-phase equality of built descriptors against the
     hand-derived reference table (zero tolerance)."""
-    mismatches = 0
-    for f, reference in reference_state_table():
-        if build_descriptor(f) != reference:
-            mismatches += 1
-    return _result("gauss", "golden-states-exact", float(mismatches),
-                   f"{len(reference_state_table())} reference states")
+    rows = ([float(build_descriptor(f) != reference)] for f, reference in reference_state_table())
+    return _sweep("gauss", ["golden-states-exact"], rows, "{cases} reference states")[0]
+
+
+def _route_residuals(f: CoprimeFraction) -> tuple[float, float, int, float]:
+    closed = closed_coefficients(f)
+    closed_vals = np.array([c.to_complex() for c in closed])
+    return (np.abs(closed_vals - direct_coefficients(f)).max(),
+            np.abs(closed_vals - coefficients_by_inverse_dft(f)).max(),
+            sum(c.inv_sqrt_n != f.N for c in closed),
+            verify_forward_dft(f, closed_vals))
 
 
 def check_coefficient_routes(cfg: VerifyConfig) -> list[CheckResult]:
     """One sweep over all coprime fractions with N <= coeff_n_max comparing
     the closed form against the direct sum and the inverse DFT, checking
-    the exact magnitude of the closed route, and verifying the forward
-    transform identity."""
-    worst_direct = 0.0
-    worst_idft = 0.0
-    worst_forward = 0.0
-    magnitude_violations = 0
-    count = 0
-    for f in coprime_fractions(cfg.coeff_n_max):
-        closed = closed_coefficients(f)
-        magnitude_violations += sum(c.inv_sqrt_n != f.N for c in closed)
-        closed_vals = np.array([c.to_complex() for c in closed])
-        worst_direct = max(worst_direct,
-                           float(np.abs(closed_vals - direct_coefficients(f)).max()))
-        worst_idft = max(worst_idft,
-                         float(np.abs(closed_vals - coefficients_by_inverse_dft(f)).max()))
-        worst_forward = max(worst_forward, verify_forward_dft(f, closed_vals))
-        count += 1
-    detail = f"{count} fractions, N <= {cfg.coeff_n_max}"
-    return [
-        _result("gauss", "closed-vs-direct", worst_direct, detail),
-        _result("gauss", "closed-vs-inverse-dft", worst_idft, detail),
-        _result("gauss", "closed-magnitude-exact", float(magnitude_violations), detail),
-        _result("gauss", "forward-dft-identity", worst_forward, detail),
-    ]
+    the exact magnitude of the closed route (the value is the most wrong
+    magnitudes in one fraction), and verifying the forward transform
+    identity."""
+    names = ["closed-vs-direct", "closed-vs-inverse-dft", "closed-magnitude-exact",
+             "forward-dft-identity"]
+    return _sweep("gauss", names, map(_route_residuals, coprime_fractions(cfg.coeff_n_max)),
+                  f"{{cases}} fractions, N <= {cfg.coeff_n_max}")
 
 
 def check_eigen_equation(cfg: VerifyConfig) -> CheckResult:
-    worst = 0.0
-    for f in coprime_fractions(cfg.fock_n_max):
-        for alpha in cfg.alphas:
-            worst = max(worst, fock.eigen_residual(alpha, f, cfg.dim))
-    return _result("fock", "eigen-equation", worst,
-                   f"N <= {cfg.fock_n_max}, dim {cfg.dim}")
+    rows = ([fock.eigen_residual(alpha, f, cfg.dim)]
+            for f, alpha in product(coprime_fractions(cfg.fock_n_max), cfg.alphas))
+    return _sweep("fock", ["eigen-equation"], rows, _fock_detail(cfg))[0]
 
 
 def check_series_vs_superposition(cfg: VerifyConfig) -> CheckResult:
-    worst = 0.0
-    for f in coprime_fractions(cfg.fock_n_max):
-        desc = build_descriptor(f)
-        for alpha in cfg.alphas:
-            series = fock.kitten_vector_series(alpha, f, cfg.dim)
-            summed = fock.kitten_vector_superposition(alpha, desc, cfg.dim)
-            worst = max(worst, float(np.linalg.norm(series - summed)))
-    return _result("fock", "series-vs-superposition", worst,
-                   f"N <= {cfg.fock_n_max}, dim {cfg.dim}")
+    rows = ([np.linalg.norm(fock.kitten_vector_series(alpha, desc.fraction, cfg.dim)
+                            - fock.kitten_vector_superposition(alpha, desc, cfg.dim))]
+            for desc in map(build_descriptor, coprime_fractions(cfg.fock_n_max))
+            for alpha in cfg.alphas)
+    return _sweep("fock", ["series-vs-superposition"], rows, _fock_detail(cfg))[0]
 
 
 def check_lowering_power(cfg: VerifyConfig) -> CheckResult:
-    worst = 0.0
-    for f in coprime_fractions(cfg.power_n_max):
-        worst = max(worst, fock.aN_identity_residual(f, cfg.power_dim))
-    return _result("fock", "lowering-power-identity", worst,
-                   f"N <= {cfg.power_n_max}, dim {cfg.power_dim}")
+    rows = ([fock.aN_identity_residual(f, cfg.power_dim)]
+            for f in coprime_fractions(cfg.power_n_max))
+    return _sweep("fock", ["lowering-power-identity"], rows,
+                  f"N <= {cfg.power_n_max}, dim {cfg.power_dim}")[0]
 
 
 def check_kerr(cfg: VerifyConfig) -> list[CheckResult]:
-    worst_vec = 0.0
-    worst_mat = 0.0
-    for f in coprime_fractions(cfg.fock_n_max):
-        worst_mat = max(worst_mat, fock.kerr_conjugation_residual(f, cfg.dim))
-        for alpha in cfg.alphas:
-            worst_vec = max(worst_vec, fock.kerr_identity_residual(alpha, f, cfg.dim))
-    detail = f"N <= {cfg.fock_n_max}, dim {cfg.dim}"
-    return [
-        _result("fock", "kerr-vector-identity", worst_vec, detail),
-        _result("fock", "kerr-matrix-identity", worst_mat, detail),
-    ]
+    """The Kerr identity on coherent vectors, per fraction and amplitude, and
+    as a matrix conjugation, once per fraction."""
+    vector = ([fock.kerr_identity_residual(alpha, f, cfg.dim)]
+              for f, alpha in product(coprime_fractions(cfg.fock_n_max), cfg.alphas))
+    matrix = ([fock.kerr_conjugation_residual(f, cfg.dim)]
+              for f in coprime_fractions(cfg.fock_n_max))
+    return (_sweep("fock", ["kerr-vector-identity"], vector, _fock_detail(cfg))
+            + _sweep("fock", ["kerr-matrix-identity"], matrix, _fock_detail(cfg)))
 
 
 def check_time_evolution(cfg: VerifyConfig) -> CheckResult:
-    worst = 0.0
-    for f in coprime_fractions(cfg.fock_n_max):
-        for alpha in cfg.alphas:
-            for t in cfg.times:
-                worst = max(worst, fock.time_evolution_residual(alpha, f, t, cfg.dim))
+    rows = ([fock.time_evolution_residual(alpha, f, t, cfg.dim)]
+            for f, alpha, t in product(coprime_fractions(cfg.fock_n_max), cfg.alphas, cfg.times))
     times = ", ".join(f"{t:g}" for t in cfg.times)
-    return _result("fock", "time-evolution", worst, f"t in {{{times}}}")
+    return _sweep("fock", ["time-evolution"], rows, f"t in {{{times}}}")[0]
 
 
 def spectral_error(grid: GridSpec, phi: float, n_max: int) -> float:
@@ -215,24 +206,22 @@ def spectral_error(grid: GridSpec, phi: float, n_max: int) -> float:
 def check_kernel_spectral(cfg: VerifyConfig) -> CheckResult:
     """frac_fourier must act on psi_n as multiplication by exp(-i*phi*n);
     the single strongest probe of the kernel normalization."""
-    worst = max(spectral_error(cfg.grid, phi, cfg.spectral_n_max)
-                for phi in cfg.spectral_angles)
+    rows = ([spectral_error(cfg.grid, phi, cfg.spectral_n_max)] for phi in cfg.spectral_angles)
     angles = ", ".join(f"{p:.4f}" for p in cfg.spectral_angles)
-    return _result("wavefunc", "kernel-spectral", worst,
-                   f"n <= {cfg.spectral_n_max}, phi in {{{angles}}}")
+    return _sweep("wavefunc", ["kernel-spectral"], rows,
+                  f"n <= {cfg.spectral_n_max}, phi in {{{angles}}}")[0]
 
 
 def check_integro_differential(cfg: VerifyConfig) -> list[CheckResult]:
-    worst = 0.0
-    for m, n in cfg.geneq_fractions:
-        worst = max(worst, wavefunc.geneq_residual(
-            1.0, CoprimeFraction(m, n), cfg.grid, cfg.dim))
-    parity = wavefunc.geneq_residual(1.0, CoprimeFraction(1, 2), cfg.grid, cfg.dim)
-    cases = ", ".join(f"{m}/{n}" for m, n in cfg.geneq_fractions)
-    return [
-        _result("wavefunc", "integro-differential", worst, f"alpha=1, M/N in {{{cases}}}"),
-        _result("wavefunc", "integro-differential-parity", parity, "alpha=1, M/N = 1/2"),
-    ]
+    def rows(fractions):
+        return ([wavefunc.geneq_residual(1.0, CoprimeFraction(m, n), cfg.grid, cfg.dim)]
+                for m, n in fractions)
+
+    listed = ", ".join(f"{m}/{n}" for m, n in cfg.geneq_fractions)
+    return (_sweep("wavefunc", ["integro-differential"], rows(cfg.geneq_fractions),
+                   f"alpha=1, M/N in {{{listed}}}")
+            + _sweep("wavefunc", ["integro-differential-parity"], rows([(1, 2)]),
+                     "alpha=1, M/N = 1/2"))
 
 
 def check_cat_wavefunctions(cfg: VerifyConfig) -> list[CheckResult]:
@@ -243,20 +232,17 @@ def check_cat_wavefunctions(cfg: VerifyConfig) -> list[CheckResult]:
     mid = cfg.cat_x_points // 2
     desc_p = build_descriptor(CoprimeFraction(1, 2))
     desc_f = build_descriptor(CoprimeFraction(3, 4))
-    worst_p = 0.0
-    worst_f = 0.0
-    for alpha in cfg.alphas:
+
+    def residuals(alpha: complex) -> tuple[float, float]:
         sup_p = wavefunc.superposition_wavefunction(alpha, desc_p, x)
-        worst_p = max(worst_p, float(np.abs(sup_p - wavefunc.psi_cat_P(alpha, x)).max()))
         sup_f = wavefunc.superposition_wavefunction(alpha, desc_f, x)
         closed_f = wavefunc.psi_cat_F(alpha, x)
         scale = sup_f[mid] / closed_f[mid]
-        worst_f = max(worst_f, float(np.abs(sup_f - scale * closed_f).max()))
-    detail = f"|x| <= {cfg.cat_x_max:g}"
-    return [
-        _result("wavefunc", "cat-wavefunction-parity", worst_p, detail),
-        _result("wavefunc", "cat-wavefunction-fourier", worst_f, detail),
-    ]
+        return (np.abs(sup_p - wavefunc.psi_cat_P(alpha, x)).max(),
+                np.abs(sup_f - scale * closed_f).max())
+
+    return _sweep("wavefunc", ["cat-wavefunction-parity", "cat-wavefunction-fourier"],
+                  map(residuals, cfg.alphas), f"|x| <= {cfg.cat_x_max:g}")
 
 
 def run_checks(cfg: VerifyConfig | None = None,

@@ -114,31 +114,29 @@ def hermite_basis(n_max: int, x: np.ndarray) -> np.ndarray:
     return basis
 
 
-def psi_coherent(alpha: complex, x) -> np.ndarray | complex:
+def psi_coherent(alpha: complex, x) -> np.ndarray:
     """Coherent-state wavefunction
     pi^{-1/4} exp(-|a|^2/2 - a^2/2 + sqrt(2) a x - x^2/2)."""
     x = np.asarray(x, dtype=float)
-    out = math.pi ** -0.25 * np.exp(
+    return math.pi ** -0.25 * np.exp(
         -0.5 * abs(alpha) ** 2 - 0.5 * alpha * alpha
         + math.sqrt(2.0) * alpha * x - 0.5 * x * x
     )
-    return out if out.ndim else complex(out)
 
 
-def psi_cat_P(alpha: complex, x) -> np.ndarray | complex:
+def psi_cat_P(alpha: complex, x) -> np.ndarray:
     """Closed form of the two-component parity cat wavefunction:
     sqrt(2)/pi^{1/4} exp((a^2 - |a|^2 - x^2)/2) cos(sqrt(2) a x - pi/4).
 
     Substituting alpha -> -i*alpha gives the Yurke-Stoler state.
     """
     x = np.asarray(x, dtype=float)
-    out = (math.sqrt(2.0) / math.pi ** 0.25
-           * np.exp(0.5 * (alpha * alpha - abs(alpha) ** 2 - x * x))
-           * np.cos(math.sqrt(2.0) * alpha * x - math.pi / 4.0))
-    return out if out.ndim else complex(out)
+    return (math.sqrt(2.0) / math.pi ** 0.25
+            * np.exp(0.5 * (alpha * alpha - abs(alpha) ** 2 - x * x))
+            * np.cos(math.sqrt(2.0) * alpha * x - math.pi / 4.0))
 
 
-def psi_cat_F(alpha: complex, x) -> np.ndarray | complex:
+def psi_cat_F(alpha: complex, x) -> np.ndarray:
     """Closed form of the four-component Fourier cat wavefunction:
     e^{-(|a|^2+x^2)/2} (e^{-i a^2/2} cosh((1+i) a x)
                         + e^{i a^2/2 + i pi/4} sinh((1-i) a x)).
@@ -147,14 +145,13 @@ def psi_cat_F(alpha: complex, x) -> np.ndarray | complex:
     superposition; comparisons are therefore made up to one global factor.
     """
     x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * (abs(alpha) ** 2 + x * x)) * (
+    return np.exp(-0.5 * (abs(alpha) ** 2 + x * x)) * (
         np.exp(-0.5j * alpha * alpha) * np.cosh((1.0 + 1.0j) * alpha * x)
         + np.exp(0.5j * alpha * alpha + 0.25j * math.pi) * np.sinh((1.0 - 1.0j) * alpha * x)
     )
-    return out if out.ndim else complex(out)
 
 
-def psi_cat_F_inverse(alpha: complex, x) -> np.ndarray | complex:
+def psi_cat_F_inverse(alpha: complex, x) -> np.ndarray:
     """Inverse-Fourier variant via the conjugation rule
     psi^{(F^-1)}_alpha(x) = conj(psi^{(F)}_{conj(alpha)}(x))."""
     return np.conj(psi_cat_F(complex(alpha).conjugate(), x))
@@ -183,7 +180,7 @@ def reduce_angle(phi: float) -> float:
     return math.pi if reduced == -math.pi else reduced
 
 
-def mehler_kernel(x, y, phi: float) -> np.ndarray | complex:
+def mehler_kernel(x, y, phi: float) -> np.ndarray:
     """Fractional Fourier kernel
     K(x, y; phi) = mu(phi)/sqrt(2*pi*|sin phi|)
                    * exp(i ((x^2+y^2) cos phi - 2 x y)/(2 sin phi)),
@@ -200,12 +197,11 @@ def mehler_kernel(x, y, phi: float) -> np.ndarray | complex:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     mu = np.exp(1j * (0.5 * phi - 0.25 * math.pi * math.copysign(1.0, s)))
-    out = (mu / math.sqrt(2.0 * math.pi * abs(s))
-           * np.exp(1j * ((x * x + y * y) * math.cos(phi) - 2.0 * x * y) / (2.0 * s)))
-    return out if out.ndim else complex(out)
+    return (mu / math.sqrt(2.0 * math.pi * abs(s))
+            * np.exp(1j * ((x * x + y * y) * math.cos(phi) - 2.0 * x * y) / (2.0 * s)))
 
 
-def frac_fourier(ws: WaveSample, phi: float, out_grid: GridSpec | None = None) -> WaveSample:
+def frac_fourier(ws: WaveSample, phi: float) -> WaveSample:
     """Fractional Fourier transform by trapezoid quadrature of the Mehler
     kernel.  Warns when the input does not decay below 1e-12 at the grid
     boundary (aliasing risk)."""
@@ -216,26 +212,17 @@ def frac_fourier(ws: WaveSample, phi: float, out_grid: GridSpec | None = None) -
             AliasingWarning,
             stacklevel=2,
         )
-    out_grid = out_grid or ws.grid
-    kernel = mehler_kernel(out_grid.x()[:, None], ws.grid.x()[None, :], phi)
+    x = ws.grid.x()
+    kernel = mehler_kernel(x[:, None], x[None, :], phi)
     weighted = ws.grid.trapezoid_weights() * ws.values
-    return WaveSample(out_grid, kernel @ weighted)
+    return WaveSample(ws.grid, kernel @ weighted)
 
 
-def kitten_wave_sample(alpha: complex, f: CoprimeFraction | None, grid: GridSpec,
+def kitten_wave_sample(alpha: complex, f: CoprimeFraction, grid: GridSpec,
                        dim: int) -> WaveSample:
     """Kitten wavefunction synthesized from its truncated Fock series."""
     coeffs = kitten_vector_series(alpha, f, dim)
     return WaveSample(grid, coeffs @ hermite_basis(dim - 1, grid.x()))
-
-
-def _ladder_applied(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(d/dx + x) applied to sum_n c_n psi_n, computed analytically via
-    (d/dx + x) psi_n = sqrt(2n) psi_{n-1}.  Drops the top row, which would
-    need the truncated coefficient c_D."""
-    dim = coeffs.size
-    lowered = np.sqrt(2.0 * np.arange(1, dim)) * coeffs[1:]
-    return lowered @ hermite_basis(dim - 2, x)
 
 
 def geneq_residual(alpha: complex, f: CoprimeFraction, grid: GridSpec, dim: int) -> float:
@@ -249,10 +236,12 @@ def geneq_residual(alpha: complex, f: CoprimeFraction, grid: GridSpec, dim: int)
     functional equation  (d/dx + x) psi(x) = sqrt(2) alpha psi(-x)  when
     phi = pi (N = 2), which needs no integration at all.
     """
-    x = grid.x()
     coeffs = kitten_vector_series(alpha, f, dim)
-    lhs = _ladder_applied(coeffs, x)
-    sample = WaveSample(grid, coeffs @ hermite_basis(dim - 1, x))
+    basis = hermite_basis(dim - 1, grid.x())
+    # (d/dx + x) psi_n = sqrt(2n) psi_{n-1}; the top row, which would need the
+    # truncated coefficient c_D, is dropped
+    lhs = (np.sqrt(2.0 * np.arange(1, dim)) * coeffs[1:]) @ basis[:-1]
+    sample = WaveSample(grid, coeffs @ basis)
     if f.N == 2:
         rhs = math.sqrt(2.0) * alpha * sample.values[::-1]
     else:

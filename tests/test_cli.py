@@ -207,6 +207,16 @@ class TestMutationDetection:
         assert code == 1
 
 
+def test_coefficient_caches_keep_only_the_latest_order(capsys):
+    from gausscat.gauss_sums import _direct_tables
+    from gausscat.superposition import _dft_matrix
+
+    run_cli(capsys, "coeffs", "1", "5")
+    run_cli(capsys, "coeffs", "2", "7")
+    assert _direct_tables.cache_info().currsize == 1
+    assert _dft_matrix.cache_info().currsize == 1
+
+
 class TestVerify:
     def test_gauss_group_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--only", "gauss",

@@ -76,6 +76,17 @@ class TestCoherentVector:
             dim = required_dimension(alpha)
             assert abs(alpha) ** 2 <= dim - 4.0 * math.sqrt(dim)
 
+    @given(st.complex_numbers(max_magnitude=1e4, allow_nan=False, allow_infinity=False))
+    def test_required_dimension_is_the_smallest_passing_dim(self, alpha):
+        dim = required_dimension(alpha)
+        assert within_truncation_guard(alpha, dim)
+        assert dim == 1 or not within_truncation_guard(alpha, dim - 1)
+
+    @pytest.mark.parametrize("alpha, dim", [(0.0, 1), (1e-150, 17)])
+    def test_required_dimension_edge_cases(self, alpha, dim):
+        # alpha = 0 passes at any dim; a tiny |alpha|^2 fails the guard at 16
+        assert required_dimension(alpha) == dim
+
 
 class TestLadderMatrices:
     def test_commutator_truncation_law(self):
@@ -112,10 +123,6 @@ class TestKittenVectors:
     def test_series_alpha_zero_is_vacuum(self):
         v = kitten_vector_series(0.0, CoprimeFraction(2, 5), 8)
         assert v[0] == 1.0 and not v[1:].any()
-
-    def test_none_fraction_is_identity(self):
-        v = kitten_vector_series(1.3, None, 32)
-        assert np.array_equal(v, coherent_vector(1.3, 32))
 
     def test_superposition_at_alpha_zero(self):
         # all branches collapse onto the vacuum; weights sum to exactly one

@@ -15,7 +15,6 @@ from gausscat.gauss_sums import (
     _closed_numerators,
     closed_coefficients,
     direct_coefficients,
-    gcd,
     jacobi_symbol,
     mod_inverse,
     unit_phase,
@@ -30,21 +29,26 @@ def coprime_fractions_st(draw, n_max=60):
 
 
 class TestGcd:
+    """The gcd that mod_inverse and CoprimeFraction check and report."""
+
     def test_small_cases(self):
-        assert gcd(6, 4) == 2
-        assert gcd(35, 21) == 7
+        with pytest.raises(ValueError, match="gcd = 2"):
+            mod_inverse(6, 4)
+        with pytest.raises(ValueError, match="gcd = 7"):
+            CoprimeFraction(21, 35)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 101])
     def test_one_is_coprime_to_everything(self, n):
-        assert gcd(1, n) == 1
+        assert mod_inverse(1, n) == 1
 
     def test_zero_zero_rejected(self):
         with pytest.raises(ValueError):
-            gcd(0, 0)
+            mod_inverse(0, 0)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            gcd(-4, 6)
+        # a negative numerator is reduced mod n first, so its common factor shows
+        with pytest.raises(ValueError, match="gcd = 2"):
+            mod_inverse(-4, 6)
 
 
 class TestModInverse:
@@ -161,9 +165,11 @@ class TestRationalAngle:
         assert RationalAngle(3, 2).to_complex() == -1.0j
 
     def test_scaled_and_negated(self):
-        assert RationalAngle(1, 4).scaled(3) == RationalAngle(3, 4)
-        assert -RationalAngle(1, 4) == RationalAngle(7, 4)
-        assert RationalAngle(1, 3) - RationalAngle(1, 3) == RationalAngle(0, 1)
+        # integer multiples and negatives are built from the numerator
+        a, b = RationalAngle(1, 4), RationalAngle(1, 3)
+        assert RationalAngle(a.num * 3, a.den) == RationalAngle(3, 4)
+        assert RationalAngle(-a.num, a.den) == RationalAngle(7, 4)
+        assert b + RationalAngle(-b.num, b.den) == RationalAngle(0, 1)
 
     def test_str(self):
         assert str(RationalAngle(0, 1)) == "0"
@@ -180,7 +186,7 @@ class TestExactCoefficient:
 
     def test_magnitude_and_value(self):
         c = ExactCoefficient(1, 2, RationalAngle(7, 4))
-        assert c.magnitude == 1 / math.sqrt(2)
+        assert abs(abs(c.to_complex()) - 1 / math.sqrt(2)) < 1e-15
         assert abs(c.to_complex() - cmath.exp(-0.25j * math.pi) / math.sqrt(2)) < 1e-15
 
     def test_invalid_fields_rejected(self):
@@ -193,7 +199,7 @@ class TestExactCoefficient:
 class TestCoprimeFraction:
     def test_valid(self):
         f = CoprimeFraction(3, 4)
-        assert f.n_even and f.angle == RationalAngle(3, 2)
+        assert f.n_even and abs(f.angle_radians - 1.5 * math.pi) < 1e-15
 
     @pytest.mark.parametrize("m, n", [(0, 3), (3, 3), (4, 3), (2, 4), (1, 1)])
     def test_invalid_rejected(self, m, n):

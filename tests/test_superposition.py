@@ -72,7 +72,7 @@ class TestBuildDescriptor:
         desc = build_descriptor(CoprimeFraction(m, n))
         closure = RationalAngle(0, 1) if n % 2 else RationalAngle(1, 1)
         for c in desc.components:
-            assert c.rotation.scaled(n) == closure
+            assert RationalAngle(c.rotation.num * n, c.rotation.den) == closure
 
 
 class TestGoldenTable:
