@@ -226,7 +226,10 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     results = run_checks(cfg, groups)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
-        print(json.dumps([asdict(r) for r in results], indent=2))
+        # strict JSON: a NaN or infinite check value is written as a string
+        rows = [asdict(r) | {"value": r.value if math.isfinite(r.value) else str(r.value)}
+                for r in results]
+        print(json.dumps(rows, indent=2, allow_nan=False))
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"

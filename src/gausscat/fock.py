@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from functools import lru_cache
 
 import numpy as np
 
@@ -188,11 +189,21 @@ def aN_identity_residual(f: CoprimeFraction, dim: int) -> float:
     return math.sqrt(total)
 
 
+@lru_cache(maxsize=1)
+def _initial_series(alpha: complex, f: CoprimeFraction, dim: int) -> np.ndarray:
+    """kitten_vector_series(alpha, f, dim), read-only.  It does not depend on
+    t, and both callers of ``_evolved_pair`` step t with (alpha, f, dim)
+    fixed, so one entry builds it once per series of times."""
+    v = kitten_vector_series(alpha, f, dim)
+    v.setflags(write=False)
+    return v
+
+
 def _evolved_pair(alpha: complex, f: CoprimeFraction, t: float,
                   dim: int) -> tuple[np.ndarray, np.ndarray]:
     """exp(-i*t*L)|kitten(alpha)> and |kitten(exp(-i*t)*alpha)>, which agree
     up to the global phase exp(-i*t/2)."""
-    evolved = np.exp(-1j * t * (np.arange(dim) + 0.5)) * kitten_vector_series(alpha, f, dim)
+    evolved = np.exp(-1j * t * (np.arange(dim) + 0.5)) * _initial_series(alpha, f, dim)
     return evolved, kitten_vector_series(cmath.exp(-1j * t) * alpha, f, dim)
 
 

@@ -233,41 +233,58 @@ def _closed_numerators(f: CoprimeFraction) -> np.ndarray:
     return num % (8 * n)
 
 
+@lru_cache(maxsize=1)
+def _closed_table(n: int) -> dict[int, ExactCoefficient]:
+    """Per-denominator table numerator over 4n -> its ExactCoefficient,
+    filled on first use by ``closed_coefficients``.
+
+    It is lazy because a one-shot call needs at most n of the 8n values,
+    and one entry is enough for the same reason as ``_direct_tables``."""
+    return {}
+
+
 def closed_coefficients(f: CoprimeFraction) -> list[ExactCoefficient]:
     """All N closed-form coefficients c_0 .. c_{N-1} as exact values.
 
     The phase arithmetic is exact: the quarter-integer terms N/4 and
     (N-1)/4 are carried over the common denominator 4N and reduced as
-    integers.
+    integers.  Coefficients are frozen and shared by every fraction with
+    the same N (there are only 8N distinct values); the list is new on
+    every call, so editing it changes no other result.
     """
     n = f.N
-    return [ExactCoefficient(1, n, RationalAngle(num, 4 * n))
-            for num in _closed_numerators(f).tolist()]
+    nums = _closed_numerators(f).tolist()
+    table = _closed_table(n)
+    for num in set(nums).difference(table):
+        table[num] = ExactCoefficient(1, n, RationalAngle(num, 4 * n))
+    return [table[num] for num in nums]
 
 
 @lru_cache(maxsize=1)
 def _direct_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-denominator tables for the vectorized direct sum: the cross terms
-    2*k*l mod 2n and the 2n-th roots e^{-i*pi*j/n}.  Callers must not mutate.
+    2*k*l mod 2n and the 2n-th roots e^{-i*pi*j/n} for 0 <= j < 4n, stored
+    twice over (period 2n) so that a quadratic term below 2n plus a cross
+    term indexes them without a further reduction.  Callers must not mutate.
 
     One entry is enough: the verify sweep visits each N once, in order, and
     a CLI command uses one N; more would only hold N x N tables alive."""
     ell = np.arange(n, dtype=np.int64)
     cross = (2 * np.outer(ell, ell)) % (2 * n)
-    roots = unit_phase(np.arange(2 * n), n).conj()
+    roots = unit_phase(np.arange(4 * n), n).conj()
     return cross, roots
 
 
 def direct_coefficients(f: CoprimeFraction) -> np.ndarray:
     """All N coefficients by plain summation of the defining Gauss sums.
 
-    Every exponent is an exact integer multiple of pi/N, reduced mod 2N and
-    looked up in one table of the 2N-th roots of unity, so the only
-    floating-point error is the final N-term accumulation.
+    Every exponent is an exact integer multiple of pi/N: its quadratic and
+    cross terms are each reduced mod 2N, and their sum indexes one table of
+    the 2N-th roots of unity, so the only floating-point error is the final
+    N-term accumulation.
     """
     m, n = f.M, f.N
     ell = np.arange(n, dtype=np.int64)
     quad = (m * ell * ell) % (2 * n) if f.n_even else (m * ell * (ell - 1)) % (2 * n)
     cross, roots = _direct_tables(n)
-    exponents = (quad[None, :] + cross) % (2 * n)
-    return roots[exponents].sum(axis=1) / n
+    return roots[quad[None, :] + cross].sum(axis=1) / n

@@ -176,6 +176,23 @@ class TestEvolve:
         first = out.strip().splitlines()[1]
         assert first.split(",")[0] == "0"
 
+    def test_initial_series_built_once(self, monkeypatch, capsys):
+        # one coherent vector for the state at t = 0, one per rotated state
+        from gausscat import fock
+
+        calls = []
+        original = fock.coherent_vector
+
+        def counted(alpha, dim):
+            calls.append(alpha)
+            return original(alpha, dim)
+
+        monkeypatch.setattr(fock, "coherent_vector", counted)
+        fock._initial_series.cache_clear()
+        code, out, _ = run_cli(capsys, "evolve", "1", "3", "--dim", "256")
+        assert code == 0 and len(out.strip().splitlines()) == 1 + 49
+        assert len(calls) == 50
+
 
 def _flip_odd_odd_sign(monkeypatch):
     """Drop-in mutation: negate every odd-N, odd-M closed coefficient by
@@ -208,11 +225,12 @@ class TestMutationDetection:
 
 
 def test_coefficient_caches_keep_only_the_latest_order(capsys):
-    from gausscat.gauss_sums import _direct_tables
+    from gausscat.gauss_sums import _closed_table, _direct_tables
     from gausscat.superposition import _dft_matrix
 
     run_cli(capsys, "coeffs", "1", "5")
     run_cli(capsys, "coeffs", "2", "7")
+    assert _closed_table.cache_info().currsize == 1
     assert _direct_tables.cache_info().currsize == 1
     assert _dft_matrix.cache_info().currsize == 1
 
@@ -237,3 +255,19 @@ class TestVerify:
         results = json.loads(out)
         assert all(r["passed"] for r in results)
         assert {r["group"] for r in results} == {"fock"}
+
+    def test_json_is_strict_on_a_nan_value(self, monkeypatch, capsys):
+        from gausscat import fock
+
+        monkeypatch.setattr(fock, "eigen_residual", lambda alpha, f, dim: math.nan)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        code, out, _ = run_cli(capsys, "verify", "--only", "fock", "--fock-nmax", "3",
+                               "--format", "json")
+        assert code == 1
+        results = {r["name"]: r for r in json.loads(out, parse_constant=reject)}
+        assert results["eigen-equation"]["value"] == "nan"
+        assert not results["eigen-equation"]["passed"]
+        assert isinstance(results["time-evolution"]["value"], float)

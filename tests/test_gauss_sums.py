@@ -13,12 +13,14 @@ from gausscat.gauss_sums import (
     ExactCoefficient,
     RationalAngle,
     _closed_numerators,
+    _closed_table,
     closed_coefficients,
     direct_coefficients,
     jacobi_symbol,
     mod_inverse,
     unit_phase,
 )
+from gausscat.verify import coprime_fractions
 
 
 @st.composite
@@ -247,6 +249,17 @@ def _closed_reference(m, n):
     return out
 
 
+def _direct_modulo_reference(f):
+    """The direct sum as first vectorized: exponents reduced mod 2N once more
+    after adding the quadratic and cross terms, and one period of roots."""
+    m, n = f.M, f.N
+    ell = np.arange(n, dtype=np.int64)
+    quad = (m * ell * ell) % (2 * n) if f.n_even else (m * ell * (ell - 1)) % (2 * n)
+    cross = (2 * np.outer(ell, ell)) % (2 * n)
+    roots = unit_phase(np.arange(2 * n), n).conj()
+    return roots[(quad[None, :] + cross) % (2 * n)].sum(axis=1) / n
+
+
 class TestDirectRoute:
     def test_parity_cat_coefficients(self):
         c = direct_coefficients(CoprimeFraction(1, 2))
@@ -267,6 +280,12 @@ class TestDirectRoute:
         scalar = np.array([_direct_reference(f, k) for k in range(f.N)])
         assert np.abs(vec - scalar).max() < 1e-14
 
+    @pytest.mark.parametrize("m, n", [(1, 2), (2, 3), (3, 4), (7, 101), (199, 200),
+                                      (100, 201), (5, 256), (250, 499), (499, 500)])
+    def test_bit_identical_to_modulo_formula(self, m, n):
+        f = CoprimeFraction(m, n)
+        assert np.array_equal(direct_coefficients(f), _direct_modulo_reference(f))
+
 
 class TestClosedRoute:
     def test_parity_cat_exact_phase(self):
@@ -286,10 +305,26 @@ class TestClosedRoute:
         assert c == ExactCoefficient(1, 3, RationalAngle(11, 6))
 
     def test_closed_coefficients_matches_per_k(self):
-        for f in (CoprimeFraction(5, 12), CoprimeFraction(4, 15), CoprimeFraction(7, 15)):
+        # every fraction in order, so most calls reuse the values of one N
+        for f in coprime_fractions(60):
             want = [ExactCoefficient(1, f.N, RationalAngle(num, 4 * f.N))
                     for num in _closed_reference(f.M, f.N)]
-            assert closed_coefficients(f) == want
+            assert closed_coefficients(f) == want, f
+
+    def test_values_shared_within_one_order(self):
+        first = closed_coefficients(CoprimeFraction(1, 7))
+        again = closed_coefficients(CoprimeFraction(1, 7))
+        assert again == first and again is not first
+        assert all(a is b for a, b in zip(again, first))
+        other = closed_coefficients(CoprimeFraction(2, 7))
+        pairs = [(a, b) for a in first for b in other if a == b]
+        assert pairs and all(a is b for a, b in pairs)
+
+    def test_one_call_builds_at_most_n_values(self):
+        _closed_table.cache_clear()
+        f = CoprimeFraction(1, 4001)
+        closed_coefficients(f)
+        assert 0 < len(_closed_table(f.N)) <= f.N
 
     @given(coprime_fractions_st(n_max=60), st.integers(0, 59))
     def test_closed_matches_direct(self, f, k):

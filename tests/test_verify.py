@@ -1,12 +1,14 @@
 """The verify harness itself: every check is reduced by one sweep, which
 must fail on a NaN residual and on a sweep that covers no case."""
 
+import dataclasses
 import math
 
 import pytest
 
 import gausscat
 from gausscat import fock, gauss_sums, superposition, verify, wavefunc
+from gausscat.gauss_sums import CoprimeFraction, RationalAngle
 from gausscat.verify import VerifyConfig, run_checks
 
 SMALL = VerifyConfig(coeff_n_max=12, fock_n_max=4)
@@ -66,6 +68,28 @@ class TestNanFails:
         results = {r.name: r for r in run_checks(SMALL, ["gauss"])}
         assert not results["closed-vs-direct"].passed
         assert results["closed-vs-inverse-dft"].passed
+
+
+class TestWrongClosedValueFails:
+    def test_one_phase_beyond_the_golden_table(self, monkeypatch):
+        # the closed values are shared per N; a wrong one in the list the
+        # sweep gets must still turn the check red
+        target = CoprimeFraction(7, 101)
+        original = verify.closed_coefficients
+
+        def planted(f):
+            coeffs = original(f)
+            if f == target:
+                c = coeffs[3]
+                coeffs[3] = dataclasses.replace(
+                    c, phase=RationalAngle(c.phase.num + 1, c.phase.den))
+            return coeffs
+
+        monkeypatch.setattr(verify, "closed_coefficients", planted)
+        results = {r.name: r for r in run_checks(VerifyConfig(coeff_n_max=101), ["gauss"])}
+        assert not results["closed-vs-direct"].passed
+        assert results["closed-magnitude-exact"].passed
+        assert results["golden-states-exact"].passed
 
 
 class TestNoCasesFails:
