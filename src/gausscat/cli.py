@@ -24,7 +24,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .fock import evolution_fidelity, required_dimension, within_truncation_guard
+from .fock import (coherent_underflows, evolution_fidelity, required_dimension,
+                   within_truncation_guard)
 from .gauss_sums import (
     CoprimeFraction,
     RationalAngle,
@@ -69,13 +70,12 @@ def _fraction(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Copr
         return CoprimeFraction(args.M, args.N)
     except ValueError as exc:
         parser.error(str(exc))
-        raise AssertionError("unreachable")
 
 
 def cmd_coeffs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     f = _fraction(parser, args)
     closed = closed_coefficients(f)
-    closed_vals = np.array([c.to_complex() for c in closed])
+    closed_vals = np.array([c.value for c in closed])
     direct = direct_coefficients(f)
     idft = coefficients_by_inverse_dft(f)
     discrepancies = np.maximum(np.abs(closed_vals - direct), np.abs(closed_vals - idft))
@@ -148,9 +148,11 @@ def cmd_state(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 def _alpha_within_guard(parser: argparse.ArgumentParser,
                         args: argparse.Namespace) -> complex:
-    """--alpha, once it is finite and --dim is positive and keeps the
-    coherent-state tail negligible."""
+    """--alpha, once it is finite and does not underflow the vacuum amplitude,
+    and --dim is positive and keeps the coherent-state tail negligible."""
     alpha = _parse_alpha(parser, args.alpha)
+    if coherent_underflows(alpha):
+        parser.error(f"--alpha: |alpha|^2 = {abs(alpha) ** 2:.6g} underflows exp(-|alpha|^2/2)")
     if args.dim < 1:
         parser.error(f"--dim must be a positive integer, got {args.dim}")
     if not within_truncation_guard(alpha, args.dim):
@@ -199,7 +201,7 @@ def cmd_evolve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     if args.t_steps < 2:
         parser.error("--t-steps must be at least 2")
     times = np.linspace(0.0, args.t, args.t_steps)
-    fidelities = [evolution_fidelity(alpha, f, float(t), args.dim) for t in times]
+    fidelities = evolution_fidelity(alpha, f, times, args.dim)
     if args.format == "json":
         obj = {
             "M": f.M,

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
-from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "TruncationWarning",
     "aN_identity_residual",
     "annihilation_matrix",
+    "coherent_underflows",
     "coherent_vector",
     "creation_matrix",
     "eigen_residual",
@@ -73,14 +75,9 @@ def within_truncation_guard(alpha: complex, dim: int) -> bool:
     return abs(alpha) ** 2 <= max(0.0, dim - 4.0 * math.sqrt(dim))
 
 
-def _check_truncation(alpha: complex, dim: int) -> None:
-    if not within_truncation_guard(alpha, dim):
-        warnings.warn(
-            f"|alpha|^2 = {abs(alpha) ** 2:.3g} exceeds dim - 4*sqrt(dim) = "
-            f"{dim - 4.0 * math.sqrt(dim):.3g}; need dim >= {required_dimension(alpha)}",
-            TruncationWarning,
-            stacklevel=3,
-        )
+def coherent_underflows(alpha: complex) -> bool:
+    """exp(-|alpha|^2/2) is below the smallest normal float (|alpha|^2 > ~1416.8)."""
+    return math.exp(-0.5 * abs(alpha) ** 2) < sys.float_info.min
 
 
 def annihilation_matrix(dim: int) -> np.ndarray:
@@ -115,11 +112,20 @@ def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
 
     Computed by the stable recurrence v_{n+1} = v_n * alpha / sqrt(n+1).
     Emits a TruncationWarning when the Poisson tail beyond the cutoff is
-    not negligible (|alpha|^2 > dim - 4*sqrt(dim)).
+    not negligible (|alpha|^2 > dim - 4*sqrt(dim)), and raises ValueError
+    when the leading amplitude underflows (``coherent_underflows``).
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
-    _check_truncation(alpha, dim)
+    if coherent_underflows(alpha):
+        raise ValueError(f"|alpha|^2 = {abs(alpha) ** 2:.6g}: exp(-|alpha|^2/2) underflows")
+    if not within_truncation_guard(alpha, dim):
+        warnings.warn(
+            f"|alpha|^2 = {abs(alpha) ** 2:.3g} exceeds dim - 4*sqrt(dim) = "
+            f"{dim - 4.0 * math.sqrt(dim):.3g}; need dim >= {required_dimension(alpha)}",
+            TruncationWarning,
+            stacklevel=2,
+        )
     v = np.zeros(dim, dtype=complex)
     v[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(dim - 1):
@@ -138,8 +144,7 @@ def kitten_vector_superposition(alpha: complex, desc: KittenDescriptor, dim: int
     """Kitten state as the explicit sum of rotated coherent vectors."""
     v = np.zeros(dim, dtype=complex)
     for comp in desc.components:
-        rot = comp.rotation.to_complex()
-        v += comp.coefficient.to_complex() * coherent_vector(rot * alpha, dim)
+        v += comp.coefficient.value * coherent_vector(comp.rotation.to_complex() * alpha, dim)
     return v
 
 
@@ -189,29 +194,21 @@ def aN_identity_residual(f: CoprimeFraction, dim: int) -> float:
     return math.sqrt(total)
 
 
-@lru_cache(maxsize=1)
-def _initial_series(alpha: complex, f: CoprimeFraction, dim: int) -> np.ndarray:
-    """kitten_vector_series(alpha, f, dim), read-only.  It does not depend on
-    t, and both callers of ``_evolved_pair`` step t with (alpha, f, dim)
-    fixed, so one entry builds it once per series of times."""
-    v = kitten_vector_series(alpha, f, dim)
-    v.setflags(write=False)
-    return v
+def _evolved_pairs(alpha: complex, f: CoprimeFraction, times: Iterable[float], dim: int):
+    """(t, e^{-itL}|kitten(alpha)>, |kitten(e^{-it} alpha)>) per t; equal up to e^{-it/2}."""
+    initial = kitten_vector_series(alpha, f, dim)
+    levels = np.arange(dim) + 0.5
+    for t in map(float, times):
+        yield (t, np.exp(-1j * t * levels) * initial,
+               kitten_vector_series(cmath.exp(-1j * t) * alpha, f, dim))
 
 
-def _evolved_pair(alpha: complex, f: CoprimeFraction, t: float,
-                  dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-i*t*L)|kitten(alpha)> and |kitten(exp(-i*t)*alpha)>, which agree
-    up to the global phase exp(-i*t/2)."""
-    evolved = np.exp(-1j * t * (np.arange(dim) + 0.5)) * _initial_series(alpha, f, dim)
-    return evolved, kitten_vector_series(cmath.exp(-1j * t) * alpha, f, dim)
-
-
-def time_evolution_residual(alpha: complex, f: CoprimeFraction, t: float, dim: int) -> float:
-    """Residual of exp(-i*t*L)|alpha> = exp(-i*t/2)|exp(-i*t)*alpha> for the
-    kitten series vector, with L acting as n + 1/2."""
-    evolved, rotated = _evolved_pair(alpha, f, t, dim)
-    return float(np.linalg.norm(evolved - cmath.exp(-0.5j * t) * rotated))
+def time_evolution_residual(alpha: complex, f: CoprimeFraction, times: Iterable[float],
+                            dim: int) -> list[float]:
+    """Residuals of exp(-i*t*L)|alpha> = exp(-i*t/2)|exp(-i*t)*alpha> for the
+    kitten series vector, with L acting as n + 1/2, one per t of the grid."""
+    return [float(np.linalg.norm(evolved - cmath.exp(-0.5j * t) * rotated))
+            for t, evolved, rotated in _evolved_pairs(alpha, f, times, dim)]
 
 
 def kerr_identity_residual(alpha: complex, f: CoprimeFraction, dim: int) -> float:
@@ -232,8 +229,9 @@ def kerr_conjugation_residual(f: CoprimeFraction, dim: int) -> float:
     return float(np.linalg.norm((conjugated - target)[: dim - 1]))
 
 
-def evolution_fidelity(alpha: complex, f: CoprimeFraction, t: float, dim: int) -> float:
-    """|<kitten(e^{-it} alpha) | e^{-itL} | kitten(alpha)>|; identically 1 up
-    to truncation error."""
-    evolved, rotated = _evolved_pair(alpha, f, t, dim)
-    return float(abs(np.vdot(rotated, evolved)))
+def evolution_fidelity(alpha: complex, f: CoprimeFraction, times: Iterable[float],
+                       dim: int) -> list[float]:
+    """|<kitten(e^{-it} alpha) | e^{-itL} | kitten(alpha)>| for each t of the
+    grid; identically 1 up to truncation error."""
+    return [float(abs(np.vdot(rotated, evolved)))
+            for _, evolved, rotated in _evolved_pairs(alpha, f, times, dim)]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -160,12 +160,14 @@ class ExactCoefficient:
 
     Normalized on construction: a -1 sign is folded into the phase (adding
     pi), so equality of coefficients is plain field equality.  ``inv_sqrt_n``
-    stores the integer n whose inverse square root is the magnitude.
+    stores the integer n whose inverse square root is the magnitude, and
+    ``value`` the complex number, evaluated once here (not compared).
     """
 
     sign: int
     inv_sqrt_n: int
     phase: RationalAngle
+    value: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
@@ -175,9 +177,8 @@ class ExactCoefficient:
         if self.sign == -1:
             object.__setattr__(self, "phase", self.phase + RationalAngle(1))
             object.__setattr__(self, "sign", 1)
-
-    def to_complex(self) -> complex:
-        return self.sign * self.phase.to_complex() / math.sqrt(self.inv_sqrt_n)
+        object.__setattr__(self, "value",
+                           self.sign * self.phase.to_complex() / math.sqrt(self.inv_sqrt_n))
 
     def __str__(self) -> str:
         root = f"√{self.inv_sqrt_n}"

@@ -71,10 +71,8 @@ class KittenDescriptor:
 
     def __post_init__(self) -> None:
         n = self.fraction.N
-        if self.parity not in ("even", "odd"):
-            raise ValueError("parity must be 'even' or 'odd'")
         if self.parity != ("even" if n % 2 == 0 else "odd"):
-            raise ValueError("parity does not match N")
+            raise ValueError(f"parity {self.parity!r} does not match N = {n}")
         if len(self.components) != n:
             raise ValueError(f"expected {n} components, got {len(self.components)}")
         if [c.k for c in self.components] != list(range(n)):
@@ -86,7 +84,7 @@ class KittenDescriptor:
             raise ValueError("rotations must be distinct mod 2*pi")
 
     def coefficient_values(self) -> np.ndarray:
-        return np.array([c.coefficient.to_complex() for c in self.components])
+        return np.array([c.coefficient.value for c in self.components])
 
 
 def component_rotation(f: CoprimeFraction, k: int) -> RationalAngle:
@@ -176,7 +174,7 @@ def reference_state_table() -> list[tuple[CoprimeFraction, KittenDescriptor]]:
     its inverse-Fourier mirror (M=1, N=4), both triangular states (N=3),
     and the full pentagonal family (N=5).
     """
-    table = [
+    return [
         # M=1, N=2: (e^{-i pi/4} |i a> + e^{+i pi/4} |-i a>)/sqrt 2
         _reference_state(1, 2, [(-1, 4), (1, 4)], [(1, 2), (3, 2)]),
         # M=1, N=3
@@ -201,7 +199,6 @@ def reference_state_table() -> list[tuple[CoprimeFraction, KittenDescriptor]]:
         _reference_state(4, 5, [(1, 5), (-1, 5), (0, 1), (-1, 5), (1, 5)],
                          _PENTAGON_ROTS, signs=[1, 1, -1, 1, 1]),
     ]
-    return table
 
 
 def coefficient_to_dict(c: ExactCoefficient) -> dict:

@@ -134,7 +134,7 @@ def check_golden_states() -> CheckResult:
 
 def _route_residuals(f: CoprimeFraction) -> tuple[float, float, int, float]:
     closed = closed_coefficients(f)
-    closed_vals = np.array([c.to_complex() for c in closed])
+    closed_vals = np.array([c.value for c in closed])
     return (np.abs(closed_vals - direct_coefficients(f)).max(),
             np.abs(closed_vals - coefficients_by_inverse_dft(f)).max(),
             sum(c.inv_sqrt_n != f.N for c in closed),
@@ -186,8 +186,8 @@ def check_kerr(cfg: VerifyConfig) -> list[CheckResult]:
 
 
 def check_time_evolution(cfg: VerifyConfig) -> CheckResult:
-    rows = ([fock.time_evolution_residual(alpha, f, t, cfg.dim)]
-            for f, alpha, t in product(coprime_fractions(cfg.fock_n_max), cfg.alphas, cfg.times))
+    rows = ([r] for f, alpha in product(coprime_fractions(cfg.fock_n_max), cfg.alphas)
+            for r in fock.time_evolution_residual(alpha, f, cfg.times, cfg.dim))
     times = ", ".join(f"{t:g}" for t in cfg.times)
     return _sweep("fock", ["time-evolution"], rows, f"t in {{{times}}}")[0]
 

@@ -163,8 +163,7 @@ def superposition_wavefunction(alpha: complex, desc: KittenDescriptor, x) -> np.
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape, dtype=complex)
     for comp in desc.components:
-        out += comp.coefficient.to_complex() * psi_coherent(
-            comp.rotation.to_complex() * alpha, x)
+        out += comp.coefficient.value * psi_coherent(comp.rotation.to_complex() * alpha, x)
     return out
 
 

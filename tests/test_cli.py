@@ -144,6 +144,9 @@ class TestWavefunction:
         (("wavefunction", "1", "3", "--grid-points", "4"), "--grid-points"),
         (("verify", "--coeff-nmax", "1"), "--coeff-nmax"),
         (("verify", "--fock-nmax", "1"), "--fock-nmax"),
+        (("wavefunction", "1", "2", "--alpha", "40,0", "--dim", "1900",
+          "--grid-half-width", "80", "--grid-points", "801"), "--alpha"),
+        (("evolve", "1", "3", "--alpha", "40,0", "--dim", "1900"), "--alpha"),
     ])
     def test_bad_input_is_usage_error_naming_the_flag(self, capsys, args, flag):
         with pytest.raises(SystemExit) as exc:
@@ -188,7 +191,6 @@ class TestEvolve:
             return original(alpha, dim)
 
         monkeypatch.setattr(fock, "coherent_vector", counted)
-        fock._initial_series.cache_clear()
         code, out, _ = run_cli(capsys, "evolve", "1", "3", "--dim", "256")
         assert code == 0 and len(out.strip().splitlines()) == 1 + 49
         assert len(calls) == 50

@@ -1,5 +1,6 @@
 """Unit tests for the truncated Fock-space realization."""
 
+import cmath
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from gausscat.fock import (
     TruncationWarning,
     aN_identity_residual,
     annihilation_matrix,
+    coherent_underflows,
     coherent_vector,
     creation_matrix,
     eigen_residual,
@@ -70,6 +72,15 @@ class TestCoherentVector:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             coherent_vector(0.0, 1)
+
+    def test_underflowing_amplitude_raises(self):
+        # exp(-|alpha|^2/2) is subnormal above |alpha|^2 ~ 1416.8
+        with pytest.raises(ValueError, match=r"\|alpha\|\^2 = 1482"):
+            coherent_vector(38.5, 1800)
+        assert coherent_underflows(38.5) and not coherent_underflows(37.6)
+
+    def test_normalized_just_below_the_underflow(self):
+        assert abs(np.linalg.norm(coherent_vector(37.6, 1800)) - 1.0) < 1e-12
 
     def test_required_dimension_satisfies_guard(self):
         for alpha in (0.5, 2.0, 6.0, 3.0 + 4.0j):
@@ -228,13 +239,39 @@ class TestLoweringPowerIdentity:
 
 class TestTimeEvolution:
     def test_zero_time_is_exact(self):
-        assert time_evolution_residual(1.0, CoprimeFraction(1, 3), 0.0, 64) == 0.0
+        assert time_evolution_residual(1.0, CoprimeFraction(1, 3), [0.0], 64) == [0.0]
 
     def test_full_period(self):
-        assert time_evolution_residual(1.0, CoprimeFraction(1, 3), 2 * math.pi, 64) < 1e-12
+        [residual] = time_evolution_residual(1.0, CoprimeFraction(1, 3), [2 * math.pi], 64)
+        assert residual < 1e-12
 
     def test_generic_time(self):
-        assert time_evolution_residual(1.0, CoprimeFraction(1, 3), 0.7, 64) < 1e-10
+        [residual] = time_evolution_residual(1.0, CoprimeFraction(1, 3), [0.7], 64)
+        assert residual < 1e-10
+
+
+def _per_t_reference(alpha, f, t, dim):
+    """(residual, fidelity) at one t, built from scratch as the per-t
+    formula did before the time grid owned its t = 0 state."""
+    evolved = np.exp(-1j * t * (np.arange(dim) + 0.5)) * kitten_vector_series(alpha, f, dim)
+    rotated = kitten_vector_series(cmath.exp(-1j * t) * alpha, f, dim)
+    return (float(np.linalg.norm(evolved - cmath.exp(-0.5j * t) * rotated)),
+            float(abs(np.vdot(rotated, evolved))))
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("alpha, m, n, dim", [
+        (1.0, 1, 3, 64), (1.5 + 0.5j, 3, 8, 64), (0.5, 2, 5, 32)])
+    def test_grid_matches_per_t_formula_bit_for_bit(self, alpha, m, n, dim):
+        f = CoprimeFraction(m, n)
+        times = np.linspace(0.0, 2.0 * math.pi, 49)
+        want = [_per_t_reference(alpha, f, float(t), dim) for t in times]
+        assert time_evolution_residual(alpha, f, times, dim) == [r for r, _ in want]
+        assert evolution_fidelity(alpha, f, times, dim) == [fid for _, fid in want]
+
+    def test_empty_grid(self):
+        assert time_evolution_residual(1.0, CoprimeFraction(1, 3), [], 32) == []
+        assert evolution_fidelity(1.0, CoprimeFraction(1, 3), [], 32) == []
 
 
 class TestKerrIdentity:
@@ -251,12 +288,14 @@ class TestKerrIdentity:
 
 class TestEvolutionFidelity:
     def test_zero_time(self):
-        assert abs(evolution_fidelity(1.0, CoprimeFraction(1, 3), 0.0, 64) - 1.0) < 1e-12
+        [fid] = evolution_fidelity(1.0, CoprimeFraction(1, 3), [0.0], 64)
+        assert abs(fid - 1.0) < 1e-12
 
     def test_vacuum_is_stationary(self):
         for t in (0.0, 0.5, 3.0):
-            fid = evolution_fidelity(0.0, CoprimeFraction(2, 5), t, 32)
+            [fid] = evolution_fidelity(0.0, CoprimeFraction(2, 5), [t], 32)
             assert abs(fid - 1.0) < 1e-15
 
     def test_generic(self):
-        assert abs(evolution_fidelity(1.0, CoprimeFraction(1, 3), 0.9, 64) - 1.0) < 1e-9
+        [fid] = evolution_fidelity(1.0, CoprimeFraction(1, 3), [0.9], 64)
+        assert abs(fid - 1.0) < 1e-9

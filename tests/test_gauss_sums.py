@@ -1,6 +1,7 @@
 """Unit tests for the exact phase carrier and the Gauss-sum routes."""
 
 import cmath
+import dataclasses
 import math
 
 import hypothesis.strategies as st
@@ -188,8 +189,24 @@ class TestExactCoefficient:
 
     def test_magnitude_and_value(self):
         c = ExactCoefficient(1, 2, RationalAngle(7, 4))
-        assert abs(abs(c.to_complex()) - 1 / math.sqrt(2)) < 1e-15
-        assert abs(c.to_complex() - cmath.exp(-0.25j * math.pi) / math.sqrt(2)) < 1e-15
+        assert abs(abs(c.value) - 1 / math.sqrt(2)) < 1e-15
+        assert abs(c.value - cmath.exp(-0.25j * math.pi) / math.sqrt(2)) < 1e-15
+
+    def test_value_takes_no_part_in_equality_or_hash(self):
+        folded = ExactCoefficient(-1, 5, RationalAngle(0, 1))
+        plain = ExactCoefficient(1, 5, RationalAngle(1, 1))
+        assert folded == plain and hash(folded) == hash(plain)
+        assert folded.value == plain.value == -1 / math.sqrt(5)
+        assert "value" not in repr(folded)
+        with pytest.raises(TypeError):
+            ExactCoefficient(1, 5, RationalAngle(0, 1), value=1.0)
+
+    def test_replace_recomputes_value(self):
+        c = ExactCoefficient(1, 3, RationalAngle(1, 6))
+        moved = dataclasses.replace(c, phase=RationalAngle(3, 2))
+        assert moved.value == -1j / math.sqrt(3)
+        assert moved.value != c.value
+        assert dataclasses.replace(moved, sign=-1).value == 1j / math.sqrt(3)
 
     def test_invalid_fields_rejected(self):
         with pytest.raises(ValueError):
@@ -330,7 +347,7 @@ class TestClosedRoute:
     def test_closed_matches_direct(self, f, k):
         k %= f.N
         want = direct_coefficients(f)[k]
-        got = closed_coefficients(f)[k].to_complex()
+        got = closed_coefficients(f)[k].value
         assert abs(want - got) < 1e-12
 
     @pytest.mark.parametrize("m, n", [

@@ -63,7 +63,7 @@ class TestBuildDescriptor:
     def test_weights_sum_to_one(self):
         desc = build_descriptor(CoprimeFraction(2, 7))
         assert all(c.coefficient.inv_sqrt_n == 7 for c in desc.components)
-        total = sum(abs(c.coefficient.to_complex()) ** 2 for c in desc.components)
+        total = sum(abs(c.coefficient.value) ** 2 for c in desc.components)
         assert abs(total - 1.0) < 1e-14
 
     @pytest.mark.parametrize("m, n", [(1, 3), (2, 5), (1, 2), (3, 8), (5, 6)])

@@ -92,6 +92,28 @@ class TestWrongClosedValueFails:
         assert results["golden-states-exact"].passed
 
 
+class TestValuesEvaluatedOnce:
+    def test_gauss_sweep_evaluates_each_shared_value_once(self, monkeypatch):
+        # one complex evaluation per distinct closed value of each N, plus at
+        # most two per golden coefficient (the reference and the built one)
+        cfg = VerifyConfig(coeff_n_max=60)
+        distinct = sum(
+            len(set().union(*(gauss_sums._closed_numerators(CoprimeFraction(m, n)).tolist()
+                              for m in range(1, n) if math.gcd(m, n) == 1)))
+            for n in range(2, cfg.coeff_n_max + 1))
+        golden = sum(2 * f.N for f, _ in superposition.reference_state_table())
+        calls = []
+        original = RationalAngle.to_complex
+
+        def counted(self):
+            calls.append(None)
+            return original(self)
+
+        monkeypatch.setattr(RationalAngle, "to_complex", counted)
+        assert all(r.passed for r in run_checks(cfg, ["gauss"]))
+        assert 0 < len(calls) <= distinct + golden
+
+
 class TestNoCasesFails:
     def test_coefficient_sweep_over_no_fraction(self):
         results = {r.name: r for r in run_checks(VerifyConfig(coeff_n_max=1), ["gauss"])}
