@@ -24,7 +24,7 @@ def main() -> None:
     for f in coprime_fractions(args.n_max):
         desc = build_descriptor(f)
         closed = desc.coefficient_values()
-        discrepancy = np.abs(closed - direct_coefficients(f)).max()
+        discrepancy = np.abs(closed - direct_coefficients(f)[0]).max()
         print(f"M/N = {f.M}/{f.N}  ({desc.parity} N, "
               f"cross-route discrepancy {discrepancy:.2e})")
         for c in desc.components:

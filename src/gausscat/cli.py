@@ -76,8 +76,8 @@ def cmd_coeffs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     f = _fraction(parser, args)
     closed = closed_coefficients(f)
     closed_vals = np.array([c.value for c in closed])
-    direct = direct_coefficients(f)
-    idft = coefficients_by_inverse_dft(f)
+    direct = direct_coefficients(f)[0]
+    idft = coefficients_by_inverse_dft(f)[0]
     discrepancies = np.maximum(np.abs(closed_vals - direct), np.abs(closed_vals - idft))
     max_disc = float(discrepancies.max())
 

@@ -220,13 +220,13 @@ def kerr_identity_residual(alpha: complex, f: CoprimeFraction, dim: int) -> floa
 
 
 def kerr_conjugation_residual(f: CoprimeFraction, dim: int) -> float:
-    """Matrix form of the Kerr automorphism: |G^{-1} a G - U^{-1} a| on rows
-    0 .. D-2 (Frobenius norm)."""
+    """Matrix form of the Kerr automorphism: |G^{-1} a G - U^{-1} a| / |a| on
+    rows 0 .. D-2 (Frobenius norms), relative so its rounding floor is flat in D."""
     g = kerr_diagonal(f, dim)
-    a = annihilation_matrix(dim)
-    conjugated = g.conj()[:, None] * a * g[None, :]
-    target = rotation_diagonal(f, dim).conj()[:, None] * a
-    return float(np.linalg.norm((conjugated - target)[: dim - 1]))
+    a = annihilation_matrix(dim)[: dim - 1]
+    conjugated = g.conj()[: dim - 1, None] * a * g[None, :]
+    target = rotation_diagonal(f, dim).conj()[: dim - 1, None] * a
+    return float(np.linalg.norm(conjugated - target) / np.linalg.norm(a))
 
 
 def evolution_fidelity(alpha: complex, f: CoprimeFraction, times: Iterable[float],

@@ -239,8 +239,8 @@ def _closed_table(n: int) -> dict[int, ExactCoefficient]:
     """Per-denominator table numerator over 4n -> its ExactCoefficient,
     filled on first use by ``closed_coefficients``.
 
-    It is lazy because a one-shot call needs at most n of the 8n values,
-    and one entry is enough for the same reason as ``_direct_tables``."""
+    It is lazy because a one-shot call needs at most n of the 8n values, and
+    one entry is enough because the verify sweep visits each N once, in order."""
     return {}
 
 
@@ -261,31 +261,31 @@ def closed_coefficients(f: CoprimeFraction) -> list[ExactCoefficient]:
     return [table[num] for num in nums]
 
 
-@lru_cache(maxsize=1)
-def _direct_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-denominator tables for the vectorized direct sum: the cross terms
-    2*k*l mod 2n and the 2n-th roots e^{-i*pi*j/n} for 0 <= j < 4n, stored
-    twice over (period 2n) so that a quadratic term below 2n plus a cross
-    term indexes them without a further reduction.  Callers must not mutate.
-
-    One entry is enough: the verify sweep visits each N once, in order, and
-    a CLI command uses one N; more would only hold N x N tables alive."""
-    ell = np.arange(n, dtype=np.int64)
-    cross = (2 * np.outer(ell, ell)) % (2 * n)
-    roots = unit_phase(np.arange(4 * n), n).conj()
-    return cross, roots
+def _quadratic_numerators(fractions: tuple[CoprimeFraction, ...]) -> tuple[int, np.ndarray]:
+    """The one denominator N of the fractions, and per fraction the numerators
+    over N of its quadratic phases, M*j^2 (N even) or M*j*(j-1) (N odd) mod 2N."""
+    if len(dens := {f.N for f in fractions}) != 1:
+        raise ValueError(f"need fractions of one denominator, got {sorted(dens)}")
+    n = fractions[0].N
+    m = np.array([f.M for f in fractions], dtype=np.int64)[:, None]
+    j = np.arange(n, dtype=np.int64)
+    return n, m * j * (j if n % 2 == 0 else j - 1) % (2 * n)
 
 
-def direct_coefficients(f: CoprimeFraction) -> np.ndarray:
-    """All N coefficients by plain summation of the defining Gauss sums.
+def direct_coefficients(*fractions: CoprimeFraction) -> np.ndarray:
+    """All N coefficients of each fraction by plain summation of the defining
+    Gauss sums: one row per fraction, for fractions of one denominator N.
 
     Every exponent is an exact integer multiple of pi/N: its quadratic and
     cross terms are each reduced mod 2N, and their sum indexes one table of
-    the 2N-th roots of unity, so the only floating-point error is the final
-    N-term accumulation.
+    the 2N-th roots of unity, stored twice over, so the only floating-point
+    error is the final N-term accumulation.  Rows are summed one at a time.
     """
-    m, n = f.M, f.N
+    n, quad = _quadratic_numerators(fractions)
     ell = np.arange(n, dtype=np.int64)
-    quad = (m * ell * ell) % (2 * n) if f.n_even else (m * ell * (ell - 1)) % (2 * n)
-    cross, roots = _direct_tables(n)
-    return roots[quad[None, :] + cross].sum(axis=1) / n
+    cross = (2 * np.outer(ell, ell)) % (2 * n)
+    roots = unit_phase(np.arange(4 * n), n).conj()
+    rows = np.empty(quad.shape, dtype=complex)
+    for row, q in zip(rows, quad):
+        row[:] = roots[q + cross].sum(axis=1) / n
+    return rows

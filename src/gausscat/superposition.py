@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .gauss_sums import (
     CoprimeFraction,
     ExactCoefficient,
     RationalAngle,
+    _quadratic_numerators,
     closed_coefficients,
     unit_phase,
 )
@@ -104,45 +104,40 @@ def build_descriptor(f: CoprimeFraction) -> KittenDescriptor:
     return KittenDescriptor(f, "even" if f.n_even else "odd", components)
 
 
-def _target_values(f: CoprimeFraction) -> np.ndarray:
-    """The target phases exp(-i*pi*M*n*(n-1)/N) (N odd) or exp(-i*pi*M*n^2/N)
-    (N even) for n = 0 .. N-1, from exact integer numerators."""
-    m, n = f.M, f.N
-    j = np.arange(n, dtype=np.int64)
-    return unit_phase(-m * j * j if f.n_even else -m * j * (j - 1), n)
+def _dft_tables(fractions: tuple[CoprimeFraction, ...]) -> tuple[int, np.ndarray, np.ndarray]:
+    """N, the target phases exp(-i*pi*q/N) of the quadratic numerators q, one row per
+    fraction, and the inverse-DFT matrix exp(-2*pi*i*k*l/N), from one table of roots."""
+    n, quad = _quadratic_numerators(fractions)
+    kl = np.outer(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64)) % n
+    roots = unit_phase(np.arange(2 * n), n)
+    return n, roots[-quad % (2 * n)], roots[::2].conj()[kl]
 
 
-@lru_cache(maxsize=1)
-def _dft_matrix(n: int) -> np.ndarray:
-    """The inverse-transform matrix exp(-2*pi*i*k*l/n) with exponents reduced
-    mod n before evaluation; cached for the latest order only, as
-    ``gauss_sums._direct_tables`` is.  Callers must not mutate."""
-    idx = np.outer(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64)) % n
-    return unit_phase(2 * np.arange(n), n).conj()[idx]
-
-
-def coefficients_by_inverse_dft(f: CoprimeFraction) -> np.ndarray:
-    """Coefficients by the inverse discrete Fourier transform of the phase
-    sequence: c_k = (1/N) sum_n target_n exp(-2*pi*i*k*n/N).
+def coefficients_by_inverse_dft(*fractions: CoprimeFraction) -> np.ndarray:
+    """Coefficients c_k = (1/N) sum_j t_j exp(-2*pi*i*k*j/N), the inverse DFT of
+    the target phases t_j = exp(-i*pi*M*j^2/N) (N even) or exp(-i*pi*M*j*(j-1)/N)
+    (N odd): one row per fraction, for fractions of one denominator N.
 
     Deliberately the naive O(N^2) transform with target and twiddle kept as
     separate complex factors; this is an independent cross-check of both the
-    direct summation and the closed forms.
+    direct summation and the closed forms.  All rows are one matrix product.
     """
-    return (_dft_matrix(f.N) @ _target_values(f)) / f.N
+    n, targets, dft = _dft_tables(fractions)
+    return (targets @ dft.T) / n
 
 
-def verify_forward_dft(f: CoprimeFraction, coefficients: Sequence[complex]) -> float:
-    """Max over n of |sum_k c_k exp(2*pi*i*k*n/N) - target_phase(n)|.
+def verify_forward_dft(*fractions: CoprimeFraction, coefficients: np.ndarray) -> np.ndarray:
+    """Per fraction of one denominator N, max over j of |sum_k c_k exp(2*pi*i*k*j/N)
+    - t_j| for its row c of ``coefficients`` and t as in ``coefficients_by_inverse_dft``.
 
-    Zero (up to rounding) exactly when the coefficient list solves the
-    defining linear system; a perturbed list produces an O(1) error.
+    Zero (up to rounding) exactly when the coefficient row solves the
+    defining linear system; a perturbed row produces an O(1) error.
     """
-    n = f.N
+    n, targets, dft = _dft_tables(fractions)
     c = np.asarray(coefficients, dtype=complex)
-    if c.shape != (n,):
-        raise ValueError(f"expected {n} coefficients, got shape {c.shape}")
-    return float(np.abs(_dft_matrix(n).conj() @ c - _target_values(f)).max())
+    if c.shape != (len(fractions), n):
+        raise ValueError(f"expected {len(fractions)} rows of {n} values, got {c.shape}")
+    return np.abs(c @ np.conj(dft, out=dft).T - targets).max(axis=1)  # no N x N copy
 
 
 # pentagonal rotations: 1, e^{2 pi i/5}, ..., e^{8 pi i/5}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -104,17 +104,17 @@ def coprime_fractions(n_max: int) -> Iterator[CoprimeFraction]:
                 yield CoprimeFraction(m, n)
 
 
-def _sweep(group: str, names: Sequence[str], rows: Iterable[Sequence[float]],
+def _sweep(group: str, names: Sequence[str], rows: Iterable[Sequence[float] | np.ndarray],
            detail: str) -> list[CheckResult]:
     """One result per residual column: the worst value of that column over
-    all rows, one row per case.
+    all rows, one row per case; an item of ``rows`` may be a 2-D block of rows.
 
     This is the only place a check's value is reduced.  A NaN residual
     propagates to the value and fails the check, and a sweep over no cases
     at all has value inf and fails too.  "{cases}" in ``detail`` becomes the
     number of cases.
     """
-    table = np.array(list(rows), dtype=float).reshape(-1, len(names))
+    table = np.vstack([np.empty((0, len(names))), *rows], dtype=float)
     worst = table.max(axis=0) if len(table) else np.full(len(names), np.inf)
     detail = detail.replace("{cases}", str(len(table)))
     return [CheckResult(group, name, value, TOLERANCES[name], value <= TOLERANCES[name], detail)
@@ -132,13 +132,14 @@ def check_golden_states() -> CheckResult:
     return _sweep("gauss", ["golden-states-exact"], rows, "{cases} reference states")[0]
 
 
-def _route_residuals(f: CoprimeFraction) -> tuple[float, float, int, float]:
-    closed = closed_coefficients(f)
-    closed_vals = np.array([c.value for c in closed])
-    return (np.abs(closed_vals - direct_coefficients(f)).max(),
-            np.abs(closed_vals - coefficients_by_inverse_dft(f)).max(),
-            sum(c.inv_sqrt_n != f.N for c in closed),
-            verify_forward_dft(f, closed_vals))
+def _route_residuals(fractions: list[CoprimeFraction]) -> np.ndarray:
+    closed = [closed_coefficients(f) for f in fractions]
+    values = np.array([[c.value for c in row] for row in closed])
+    return np.column_stack([
+        np.abs(values - direct_coefficients(*fractions)).max(axis=1),
+        np.abs(values - coefficients_by_inverse_dft(*fractions)).max(axis=1),
+        [sum([c.inv_sqrt_n != f.N for c in row]) for f, row in zip(fractions, closed)],
+        verify_forward_dft(*fractions, coefficients=values)])
 
 
 def check_coefficient_routes(cfg: VerifyConfig) -> list[CheckResult]:
@@ -146,11 +147,12 @@ def check_coefficient_routes(cfg: VerifyConfig) -> list[CheckResult]:
     the closed form against the direct sum and the inverse DFT, checking
     the exact magnitude of the closed route (the value is the most wrong
     magnitudes in one fraction), and verifying the forward transform
-    identity."""
+    identity.  Each route runs once per denominator, with one row per fraction."""
     names = ["closed-vs-direct", "closed-vs-inverse-dft", "closed-magnitude-exact",
              "forward-dft-identity"]
-    return _sweep("gauss", names, map(_route_residuals, coprime_fractions(cfg.coeff_n_max)),
-                  f"{{cases}} fractions, N <= {cfg.coeff_n_max}")
+    by_n = groupby(coprime_fractions(cfg.coeff_n_max), key=lambda f: f.N)
+    blocks = (_route_residuals(list(group)) for _, group in by_n)
+    return _sweep("gauss", names, blocks, f"{{cases}} fractions, N <= {cfg.coeff_n_max}")
 
 
 def check_eigen_equation(cfg: VerifyConfig) -> CheckResult:

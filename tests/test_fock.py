@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from gausscat import fock
 from gausscat.fock import (
     TruncationWarning,
     aN_identity_residual,
@@ -29,8 +30,9 @@ from gausscat.fock import (
     time_evolution_residual,
     within_truncation_guard,
 )
-from gausscat.gauss_sums import CoprimeFraction
+from gausscat.gauss_sums import CoprimeFraction, unit_phase
 from gausscat.superposition import build_descriptor
+from gausscat.verify import TOLERANCES
 
 
 @st.composite
@@ -284,6 +286,23 @@ class TestKerrIdentity:
     @pytest.mark.parametrize("m, n", [(1, 2), (3, 4), (2, 5), (3, 8)])
     def test_matrix_conjugation(self, m, n):
         assert kerr_conjugation_residual(CoprimeFraction(m, n), 64) < 1e-12
+
+    @pytest.mark.parametrize("m, n", [(5, 12), (11, 12)])
+    def test_matrix_conjugation_at_large_dim(self, m, n):
+        # an absolute norm over entries of size sqrt(n) gives 1.13e-12 here
+        residual = kerr_conjugation_residual(CoprimeFraction(m, n), 2048)
+        assert residual <= TOLERANCES["kerr-matrix-identity"]
+
+    @pytest.mark.parametrize("m, n", [(1, 2), (2, 5), (5, 12)])
+    def test_wrong_kerr_generator_gives_order_one(self, monkeypatch, m, n):
+        # n*(n+1) for n*(n-1) turns every entry by exp(2 pi i M/N)
+        def wrong(f, dim):
+            k = np.arange(dim, dtype=np.int64)
+            return unit_phase(f.M * k * (k + 1), f.N)
+
+        monkeypatch.setattr(fock, "kerr_diagonal", wrong)
+        residual = kerr_conjugation_residual(CoprimeFraction(m, n), 64)
+        assert residual == pytest.approx(2 * math.sin(math.pi * m / n), rel=1e-12)
 
 
 class TestEvolutionFidelity:

@@ -279,21 +279,21 @@ def _direct_modulo_reference(f):
 
 class TestDirectRoute:
     def test_parity_cat_coefficients(self):
-        c = direct_coefficients(CoprimeFraction(1, 2))
+        c = direct_coefficients(CoprimeFraction(1, 2))[0]
         root2 = math.sqrt(2)
         assert abs(c[0] - cmath.exp(-0.25j * math.pi) / root2) < 1e-15
         assert abs(c[1] - cmath.exp(0.25j * math.pi) / root2) < 1e-15
 
     def test_triangular_coefficient(self):
-        assert abs(direct_coefficients(CoprimeFraction(1, 3))[2] - 1j / math.sqrt(3)) < 1e-15
+        assert abs(direct_coefficients(CoprimeFraction(1, 3))[0][2] - 1j / math.sqrt(3)) < 1e-15
 
     @given(coprime_fractions_st(n_max=40))
     def test_magnitude_law(self, f):
-        assert np.abs(np.abs(direct_coefficients(f)) - 1 / math.sqrt(f.N)).max() < 1e-10
+        assert np.abs(np.abs(direct_coefficients(f)[0]) - 1 / math.sqrt(f.N)).max() < 1e-10
 
     @given(coprime_fractions_st(n_max=40))
     def test_vectorized_matches_scalar(self, f):
-        vec = direct_coefficients(f)
+        vec = direct_coefficients(f)[0]
         scalar = np.array([_direct_reference(f, k) for k in range(f.N)])
         assert np.abs(vec - scalar).max() < 1e-14
 
@@ -301,7 +301,22 @@ class TestDirectRoute:
                                       (100, 201), (5, 256), (250, 499), (499, 500)])
     def test_bit_identical_to_modulo_formula(self, m, n):
         f = CoprimeFraction(m, n)
-        assert np.array_equal(direct_coefficients(f), _direct_modulo_reference(f))
+        assert np.array_equal(direct_coefficients(f)[0], _direct_modulo_reference(f))
+
+
+    @pytest.mark.parametrize("n", [12, 101, 200])
+    def test_rows_of_one_denominator_match_single_calls(self, n):
+        fractions = [CoprimeFraction(m, n) for m in range(1, n) if math.gcd(m, n) == 1]
+        rows = direct_coefficients(*fractions)
+        assert rows.shape == (len(fractions), n)
+        for row, f in zip(rows, fractions):
+            assert np.array_equal(row, direct_coefficients(f)[0])
+
+    def test_mixed_or_no_denominator_rejected(self):
+        with pytest.raises(ValueError):
+            direct_coefficients(CoprimeFraction(1, 3), CoprimeFraction(1, 4))
+        with pytest.raises(ValueError):
+            direct_coefficients()
 
 
 class TestClosedRoute:
@@ -346,7 +361,7 @@ class TestClosedRoute:
     @given(coprime_fractions_st(n_max=60), st.integers(0, 59))
     def test_closed_matches_direct(self, f, k):
         k %= f.N
-        want = direct_coefficients(f)[k]
+        want = direct_coefficients(f)[0][k]
         got = closed_coefficients(f)[k].value
         assert abs(want - got) < 1e-12
 

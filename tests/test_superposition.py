@@ -9,11 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from gausscat.gauss_sums import CoprimeFraction, ExactCoefficient, RationalAngle
+from gausscat.gauss_sums import (
+    CoprimeFraction,
+    ExactCoefficient,
+    RationalAngle,
+    _quadratic_numerators,
+    unit_phase,
+)
 from gausscat.superposition import (
     KittenComponent,
     KittenDescriptor,
-    _target_values,
     build_descriptor,
     coefficients_by_inverse_dft,
     descriptor_from_json,
@@ -94,27 +99,41 @@ class TestGoldenTable:
 class TestInverseDft:
     def test_matches_closed_for_parity_cat(self):
         f = CoprimeFraction(1, 2)
-        got = coefficients_by_inverse_dft(f)
+        got = coefficients_by_inverse_dft(f)[0]
         want = build_descriptor(f).coefficient_values()
         assert np.abs(got - want).max() < 1e-12
 
     def test_matches_reference_pentagonal_state(self):
-        got = coefficients_by_inverse_dft(CoprimeFraction(2, 5))
+        got = coefficients_by_inverse_dft(CoprimeFraction(2, 5))[0]
         phases = [(-2, 5), (0, 1), (-2, 5), (2, 5), (2, 5)]
         want = np.array([cmath.exp(1j * math.pi * p / q) for p, q in phases]) / math.sqrt(5)
         assert np.abs(got - want).max() < 1e-12
 
     def test_matches_mirrored_compass_state(self):
         # i -> -i mirror of the compass state: coefficients for M=1, N=4
-        got = coefficients_by_inverse_dft(CoprimeFraction(1, 4))
+        got = coefficients_by_inverse_dft(CoprimeFraction(1, 4))[0]
         phases = [(-1, 4), (0, 1), (3, 4), (0, 1)]
         want = np.array([cmath.exp(1j * math.pi * p / q) for p, q in phases]) / 2.0
         assert np.abs(got - want).max() < 1e-12
 
+    @pytest.mark.parametrize("n", [12, 101, 200])
+    def test_rows_of_one_denominator_match_single_calls(self, n):
+        fractions = [CoprimeFraction(m, n) for m in range(1, n) if math.gcd(m, n) == 1]
+        rows = coefficients_by_inverse_dft(*fractions)
+        assert rows.shape == (len(fractions), n)
+        single = np.array([coefficients_by_inverse_dft(f)[0] for f in fractions])
+        assert np.abs(rows - single).max() < 1e-15
+
+    def test_mixed_or_no_denominator_rejected(self):
+        with pytest.raises(ValueError):
+            coefficients_by_inverse_dft(CoprimeFraction(1, 3), CoprimeFraction(1, 4))
+        with pytest.raises(ValueError):
+            coefficients_by_inverse_dft()
+
     @settings(max_examples=60)
     @given(coprime_fractions_st())
     def test_matches_closed_route(self, f):
-        got = coefficients_by_inverse_dft(f)
+        got = coefficients_by_inverse_dft(f)[0]
         want = build_descriptor(f).coefficient_values()
         assert np.abs(got - want).max() < 1e-12
 
@@ -123,25 +142,30 @@ class TestForwardDft:
     def test_reference_parity_coefficients_solve_the_system(self):
         f = CoprimeFraction(1, 2)
         c = np.array([cmath.exp(-0.25j * math.pi), cmath.exp(0.25j * math.pi)]) / math.sqrt(2)
-        assert verify_forward_dft(f, c) < 1e-12
+        assert verify_forward_dft(f, coefficients=[c])[0] < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 8, 25, 50])
     def test_round_trip(self, n):
-        for m in range(1, n):
-            if math.gcd(m, n) != 1:
-                continue
-            f = CoprimeFraction(m, n)
-            assert verify_forward_dft(f, coefficients_by_inverse_dft(f)) < 1e-12
+        fractions = [CoprimeFraction(m, n) for m in range(1, n) if math.gcd(m, n) == 1]
+        residuals = verify_forward_dft(
+            *fractions, coefficients=coefficients_by_inverse_dft(*fractions))
+        assert residuals.shape == (len(fractions),)
+        assert residuals.max() < 1e-12
 
     def test_perturbed_coefficients_fail(self):
         f = CoprimeFraction(1, 3)
-        c = coefficients_by_inverse_dft(f)
+        c = coefficients_by_inverse_dft(f)[0]
         c[0] += 0.1
-        assert verify_forward_dft(f, c) >= 0.05
+        assert verify_forward_dft(f, coefficients=[c])[0] >= 0.05
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            verify_forward_dft(CoprimeFraction(1, 3), np.ones(4, dtype=complex))
+            verify_forward_dft(CoprimeFraction(1, 3), coefficients=np.ones((1, 4), dtype=complex))
+
+    def test_one_row_per_fraction_required(self):
+        with pytest.raises(ValueError):
+            verify_forward_dft(CoprimeFraction(1, 3), CoprimeFraction(2, 3),
+                               coefficients=np.ones((1, 3), dtype=complex))
 
 
 def _exact_phase_sequence(f):
@@ -150,6 +174,12 @@ def _exact_phase_sequence(f):
     if f.n_even:
         return [RationalAngle(-m * j * j, n) for j in range(n)]
     return [RationalAngle(-m * j * (j - 1), n) for j in range(n)]
+
+
+def _target_values(f):
+    """The target phases of the inverse-DFT route, as it evaluates them."""
+    n, quad = _quadratic_numerators((f,))
+    return unit_phase(-quad[0], n)
 
 
 class TestPhaseSequence:

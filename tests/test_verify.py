@@ -4,6 +4,7 @@ must fail on a NaN residual and on a sweep that covers no case."""
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import gausscat
@@ -23,6 +24,14 @@ class TestSweep:
         assert (direct.value, magnitude.value) == (3e-16, 0.0)
         assert direct.passed and magnitude.passed
         assert direct.detail == "3 fractions, N <= 3"
+
+    def test_blocks_of_rows_count_each_row(self):
+        rows = [np.array([[1e-16, 0], [3e-16, 0]]), (2e-16, 1), np.empty((0, 2))]
+        direct, magnitude = verify._sweep(
+            "gauss", ["closed-vs-direct", "closed-magnitude-exact"], rows, "{cases} fractions")
+        assert (direct.value, magnitude.value) == (3e-16, 1.0)
+        assert direct.passed and not magnitude.passed
+        assert direct.detail == "3 fractions"
 
     @pytest.mark.parametrize("row", [0, 1, 2])
     def test_nan_in_any_case_fails(self, row):
@@ -89,6 +98,55 @@ class TestWrongClosedValueFails:
         results = {r.name: r for r in run_checks(VerifyConfig(coeff_n_max=101), ["gauss"])}
         assert not results["closed-vs-direct"].passed
         assert results["closed-magnitude-exact"].passed
+        assert results["golden-states-exact"].passed
+
+
+def _gauss_results(monkeypatch, name, planted):
+    """The gauss group at N <= 12 with verify.name replaced by planted(original)."""
+    monkeypatch.setattr(verify, name, planted(getattr(verify, name)))
+    return {r.name: r for r in run_checks(VerifyConfig(coeff_n_max=12), ["gauss"])}
+
+
+class TestRouteFaultsFail:
+    """One semantic fault per route check; each must turn its check red."""
+
+    def test_unnormalised_inverse_dft_fails_closed_vs_inverse_dft(self, monkeypatch):
+        def planted(original):
+            return lambda *fractions: original(*fractions) * fractions[0].N
+
+        results = _gauss_results(monkeypatch, "coefficients_by_inverse_dft", planted)
+        assert not results["closed-vs-inverse-dft"].passed
+        assert results["closed-vs-direct"].passed
+
+    def test_flipped_twiddle_sign_fails_forward_dft_identity(self, monkeypatch):
+        # sum_k c_k exp(-2 pi i k n/N) is the forward sum over c_{-k mod N}
+        def flip(c):
+            if not isinstance(c, np.ndarray):
+                return c
+            return c[..., -np.arange(c.shape[-1]) % c.shape[-1]]
+
+        def planted(original):
+            return lambda *args, **kwargs: original(
+                *map(flip, args), **{k: flip(v) for k, v in kwargs.items()})
+
+        results = _gauss_results(monkeypatch, "verify_forward_dft", planted)
+        assert not results["forward-dft-identity"].passed
+        assert results["closed-vs-inverse-dft"].passed
+
+    def test_wrong_magnitude_fails_closed_magnitude_exact(self, monkeypatch):
+        target = CoprimeFraction(5, 11)
+
+        def planted(original):
+            def closed(f):
+                coeffs = original(f)
+                if f == target:
+                    coeffs[3] = dataclasses.replace(coeffs[3], inv_sqrt_n=f.N + 1)
+                return coeffs
+            return closed
+
+        results = _gauss_results(monkeypatch, "closed_coefficients", planted)
+        assert results["closed-magnitude-exact"].value == 1.0
+        assert not results["closed-magnitude-exact"].passed
         assert results["golden-states-exact"].passed
 
 
