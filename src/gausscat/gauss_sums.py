@@ -26,7 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -234,39 +233,34 @@ def _closed_numerators(f: CoprimeFraction) -> np.ndarray:
     return num % (8 * n)
 
 
-@lru_cache(maxsize=1)
-def _closed_table(n: int) -> dict[int, ExactCoefficient]:
-    """Per-denominator table numerator over 4n -> its ExactCoefficient,
-    filled on first use by ``closed_coefficients``.
-
-    It is lazy because a one-shot call needs at most n of the 8n values, and
-    one entry is enough because the verify sweep visits each N once, in order."""
-    return {}
+def _one_denominator(fractions: tuple[CoprimeFraction, ...]) -> int:
+    """The one denominator N of the fractions passed to a coefficient route."""
+    if len(dens := {f.N for f in fractions}) != 1:
+        raise ValueError(f"need fractions of one denominator, got {sorted(dens)}")
+    return dens.pop()
 
 
-def closed_coefficients(f: CoprimeFraction) -> list[ExactCoefficient]:
-    """All N closed-form coefficients c_0 .. c_{N-1} as exact values.
+def closed_coefficients(*fractions: CoprimeFraction) -> list[ExactCoefficient]:
+    """All N closed-form coefficients c_0 .. c_{N-1} of each fraction as exact
+    values, for fractions of one denominator N: one flat list, in which
+    fraction r holds items r*N .. r*N + N - 1.
 
     The phase arithmetic is exact: the quarter-integer terms N/4 and
     (N-1)/4 are carried over the common denominator 4N and reduced as
-    integers.  Coefficients are frozen and shared by every fraction with
-    the same N (there are only 8N distinct values); the list is new on
-    every call, so editing it changes no other result.
+    integers.  Within one call equal coefficients are one frozen object
+    (there are only 8N distinct values); nothing is kept between calls.
     """
-    n = f.N
-    nums = _closed_numerators(f).tolist()
-    table = _closed_table(n)
-    for num in set(nums).difference(table):
-        table[num] = ExactCoefficient(1, n, RationalAngle(num, 4 * n))
-    return [table[num] for num in nums]
+    n = _one_denominator(fractions)
+    nums, at = np.unique(np.concatenate([_closed_numerators(f) for f in fractions]),
+                         return_inverse=True)
+    shared = [ExactCoefficient(1, n, RationalAngle(num, 4 * n)) for num in nums.tolist()]
+    return np.array(shared, dtype=object)[at].tolist()
 
 
 def _quadratic_numerators(fractions: tuple[CoprimeFraction, ...]) -> tuple[int, np.ndarray]:
     """The one denominator N of the fractions, and per fraction the numerators
     over N of its quadratic phases, M*j^2 (N even) or M*j*(j-1) (N odd) mod 2N."""
-    if len(dens := {f.N for f in fractions}) != 1:
-        raise ValueError(f"need fractions of one denominator, got {sorted(dens)}")
-    n = fractions[0].N
+    n = _one_denominator(fractions)
     m = np.array([f.M for f in fractions], dtype=np.int64)[:, None]
     j = np.arange(n, dtype=np.int64)
     return n, m * j * (j if n % 2 == 0 else j - 1) % (2 * n)

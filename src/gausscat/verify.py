@@ -133,12 +133,14 @@ def check_golden_states() -> CheckResult:
 
 
 def _route_residuals(fractions: list[CoprimeFraction]) -> np.ndarray:
-    closed = [closed_coefficients(f) for f in fractions]
-    values = np.array([[c.value for c in row] for row in closed])
+    shape = (len(fractions), fractions[0].N)
+    closed = closed_coefficients(*fractions)
+    values = np.array([c.value for c in closed]).reshape(shape)
+    inv_sqrt_n = np.array([c.inv_sqrt_n for c in closed]).reshape(shape)
     return np.column_stack([
         np.abs(values - direct_coefficients(*fractions)).max(axis=1),
         np.abs(values - coefficients_by_inverse_dft(*fractions)).max(axis=1),
-        [sum([c.inv_sqrt_n != f.N for c in row]) for f, row in zip(fractions, closed)],
+        (inv_sqrt_n != shape[1]).sum(axis=1),
         verify_forward_dft(*fractions, coefficients=values)])
 
 
@@ -206,8 +208,9 @@ def spectral_error(grid: GridSpec, phi: float, n_max: int) -> float:
 
 
 def check_kernel_spectral(cfg: VerifyConfig) -> CheckResult:
-    """frac_fourier must act on psi_n as multiplication by exp(-i*phi*n);
-    the single strongest probe of the kernel normalization."""
+    """The dense Mehler kernel, by trapezoid quadrature (``spectral_error``), must
+    act on psi_n as multiplication by exp(-i*phi*n), which pins its normalization.
+    frac_fourier is not called here; a fault there shows in integro-differential."""
     rows = ([spectral_error(cfg.grid, phi, cfg.spectral_n_max)] for phi in cfg.spectral_angles)
     angles = ", ".join(f"{p:.4f}" for p in cfg.spectral_angles)
     return _sweep("wavefunc", ["kernel-spectral"], rows,

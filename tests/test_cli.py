@@ -226,14 +226,6 @@ class TestMutationDetection:
         assert code == 1
 
 
-def test_coefficient_caches_keep_only_the_latest_order(capsys):
-    from gausscat.gauss_sums import _closed_table
-
-    run_cli(capsys, "coeffs", "1", "5")
-    run_cli(capsys, "coeffs", "2", "7")
-    assert _closed_table.cache_info().currsize == 1
-
-
 class TestVerify:
     def test_gauss_group_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--only", "gauss",

@@ -14,13 +14,13 @@ from gausscat.gauss_sums import (
     ExactCoefficient,
     RationalAngle,
     _closed_numerators,
-    _closed_table,
     closed_coefficients,
     direct_coefficients,
     jacobi_symbol,
     mod_inverse,
     unit_phase,
 )
+from gausscat.superposition import coefficients_by_inverse_dft, verify_forward_dft
 from gausscat.verify import coprime_fractions
 
 
@@ -344,19 +344,35 @@ class TestClosedRoute:
             assert closed_coefficients(f) == want, f
 
     def test_values_shared_within_one_order(self):
-        first = closed_coefficients(CoprimeFraction(1, 7))
-        again = closed_coefficients(CoprimeFraction(1, 7))
-        assert again == first and again is not first
-        assert all(a is b for a, b in zip(again, first))
-        other = closed_coefficients(CoprimeFraction(2, 7))
-        pairs = [(a, b) for a in first for b in other if a == b]
+        one, two = CoprimeFraction(1, 7), CoprimeFraction(2, 7)
+        both = closed_coefficients(one, two)
+        pairs = [(a, b) for a in both[:7] for b in both[7:] if a == b]
         assert pairs and all(a is b for a, b in pairs)
+        # nothing outlives a call: equal values, new objects
+        again = closed_coefficients(one)
+        assert again == both[:7]
+        assert not any(a is b for a, b in zip(again, both))
 
-    def test_one_call_builds_at_most_n_values(self):
-        _closed_table.cache_clear()
+    def test_one_call_builds_at_most_n_values(self, monkeypatch):
+        calls = []
+        original = RationalAngle.to_complex
+
+        def counted(self):
+            calls.append(None)
+            return original(self)
+
+        monkeypatch.setattr(RationalAngle, "to_complex", counted)
         f = CoprimeFraction(1, 4001)
         closed_coefficients(f)
-        assert 0 < len(_closed_table(f.N)) <= f.N
+        assert 0 < len(calls) <= f.N
+
+    @pytest.mark.parametrize("n", [12, 101, 200])
+    def test_rows_of_one_denominator_match_single_calls(self, n):
+        fractions = [CoprimeFraction(m, n) for m in range(1, n) if math.gcd(m, n) == 1]
+        flat = closed_coefficients(*fractions)
+        assert len(flat) == len(fractions) * n
+        for r, f in enumerate(fractions):
+            assert flat[r * n:(r + 1) * n] == closed_coefficients(f)
 
     @given(coprime_fractions_st(n_max=60), st.integers(0, 59))
     def test_closed_matches_direct(self, f, k):
@@ -379,6 +395,16 @@ class TestClosedRoute:
         f = CoprimeFraction(m, n)
         got = _closed_numerators(f).tolist()
         assert got == _closed_reference(m, n)
+
+
+@pytest.mark.parametrize("route", [
+    closed_coefficients, direct_coefficients, coefficients_by_inverse_dft,
+    lambda *fractions: verify_forward_dft(*fractions, coefficients=np.zeros((2, 3)))])
+def test_every_route_rejects_mixed_or_no_denominator(route):
+    with pytest.raises(ValueError, match=r"^need fractions of one denominator, got \[3, 4\]$"):
+        route(CoprimeFraction(1, 3), CoprimeFraction(1, 4))
+    with pytest.raises(ValueError, match=r"^need fractions of one denominator, got \[\]$"):
+        route()
 
 
 class TestAlternatingSum:

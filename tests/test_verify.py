@@ -1,6 +1,7 @@
 """The verify harness itself: every check is reduced by one sweep, which
 must fail on a NaN residual and on a sweep that covers no case."""
 
+import cmath
 import dataclasses
 import math
 
@@ -11,6 +12,7 @@ import gausscat
 from gausscat import fock, gauss_sums, superposition, verify, wavefunc
 from gausscat.gauss_sums import CoprimeFraction, RationalAngle
 from gausscat.verify import VerifyConfig, run_checks
+from gausscat.wavefunc import GridSpec
 
 SMALL = VerifyConfig(coeff_n_max=12, fock_n_max=4)
 
@@ -81,16 +83,17 @@ class TestNanFails:
 
 class TestWrongClosedValueFails:
     def test_one_phase_beyond_the_golden_table(self, monkeypatch):
-        # the closed values are shared per N; a wrong one in the list the
-        # sweep gets must still turn the check red
+        # the closed values are shared within one call; a wrong one in the
+        # list the sweep gets must still turn the check red
         target = CoprimeFraction(7, 101)
         original = verify.closed_coefficients
 
-        def planted(f):
-            coeffs = original(f)
-            if f == target:
-                c = coeffs[3]
-                coeffs[3] = dataclasses.replace(
+        def planted(*fractions):
+            coeffs = original(*fractions)
+            if target in fractions:
+                at = fractions.index(target) * target.N + 3
+                c = coeffs[at]
+                coeffs[at] = dataclasses.replace(
                     c, phase=RationalAngle(c.phase.num + 1, c.phase.den))
             return coeffs
 
@@ -137,10 +140,11 @@ class TestRouteFaultsFail:
         target = CoprimeFraction(5, 11)
 
         def planted(original):
-            def closed(f):
-                coeffs = original(f)
-                if f == target:
-                    coeffs[3] = dataclasses.replace(coeffs[3], inv_sqrt_n=f.N + 1)
+            def closed(*fractions):
+                coeffs = original(*fractions)
+                if target in fractions:
+                    at = fractions.index(target) * target.N + 3
+                    coeffs[at] = dataclasses.replace(coeffs[at], inv_sqrt_n=target.N + 1)
                 return coeffs
             return closed
 
@@ -148,6 +152,84 @@ class TestRouteFaultsFail:
         assert results["closed-magnitude-exact"].value == 1.0
         assert not results["closed-magnitude-exact"].passed
         assert results["golden-states-exact"].passed
+
+
+WAVE_SMALL = dataclasses.replace(SMALL, grid=GridSpec(10.0, 401), spectral_n_max=6,
+                                 cat_x_points=121, dim=32)
+HALF, QUARTER = CoprimeFraction(1, 2), CoprimeFraction(1, 4)
+
+
+def _no_even_shift(original):
+    return lambda f, k: RationalAngle(2 * k, f.N)
+
+
+def _flipped_rotation(original):
+    # unit_phase(+2Mn, N) in place of unit_phase(-2Mn, N)
+    return lambda f, dim: original(f, dim).conj()
+
+
+def _odd_levels(original):
+    # e^{-itn} instead of e^{-it(n + 1/2)}
+    def pairs(alpha, f, times, dim):
+        return ((t, evolved * cmath.exp(0.5j * t), rotated)
+                for t, evolved, rotated in original(alpha, f, times, dim))
+    return pairs
+
+
+def _kerr_plus(original):
+    def diagonal(f, dim):
+        n = np.arange(dim, dtype=np.int64)
+        return gauss_sums.unit_phase(f.M * n * (n + 1), f.N)
+    return diagonal
+
+
+# One semantic fault per check that the route faults above leave out:
+# (check, group, module, function, fault(original) -> replacement).
+MUTATIONS = [
+    ("golden-states-exact", "gauss", superposition, "component_rotation", _no_even_shift),
+    ("eigen-equation", "fock", fock, "rotation_diagonal", _flipped_rotation),
+    ("series-vs-superposition", "fock", superposition, "component_rotation", _no_even_shift),
+    ("lowering-power-identity", "fock", fock, "mu_factor",
+     lambda original: lambda f: -original(f)),
+    ("kerr-vector-identity", "fock", fock, "kerr_diagonal", _kerr_plus),
+    ("kerr-matrix-identity", "fock", fock, "rotation_diagonal", _flipped_rotation),
+    ("time-evolution", "fock", fock, "_evolved_pairs", _odd_levels),
+    ("kernel-spectral", "wavefunc", verify, "mehler_kernel",
+     lambda original: lambda x, y, phi: -original(x, y, phi)),
+    ("integro-differential", "wavefunc", wavefunc, "frac_fourier",
+     lambda original: lambda ws, phi: original(ws, -phi)),
+    # conjugating the 1/2 series is no fault: M = -1 is 1 mod 2
+    ("integro-differential-parity", "wavefunc", wavefunc, "kitten_vector_series",
+     lambda original: lambda alpha, f, dim: original(alpha, QUARTER if f == HALF else f, dim)),
+    ("cat-wavefunction-parity", "wavefunc", wavefunc, "psi_cat_P",
+     lambda original: lambda alpha, x: original(alpha, -np.asarray(x))),
+    # the inverse-Fourier mirror, built on the captured original (the module's
+    # own psi_cat_F_inverse would call the replacement)
+    ("cat-wavefunction-fourier", "wavefunc", wavefunc, "psi_cat_F",
+     lambda original: lambda alpha, x: np.conj(original(complex(alpha).conjugate(), x))),
+]
+
+
+class TestMutationMatrix:
+    """With TestRouteFaultsFail, a planted semantic fault turns each of the
+    16 checks red; without one, the small configurations pass."""
+
+    @staticmethod
+    def _results(group):
+        cfg = WAVE_SMALL if group == "wavefunc" else SMALL
+        return {r.name: r for r in run_checks(cfg, [group])}
+
+    @pytest.mark.parametrize("group", verify.GROUPS)
+    def test_small_configs_pass_without_a_fault(self, group):
+        assert all(r.passed for r in self._results(group).values())
+
+    @pytest.mark.parametrize("check, group, module, name, fault", MUTATIONS,
+                             ids=[m[0] for m in MUTATIONS])
+    def test_planted_fault_turns_its_check_red(self, monkeypatch, check, group, module,
+                                               name, fault):
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        result = self._results(group)[check]
+        assert not result.passed, result
 
 
 class TestValuesEvaluatedOnce:
