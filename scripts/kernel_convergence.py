@@ -20,17 +20,19 @@ from gausscat.verify import spectral_error
 from gausscat.wavefunc import GridSpec, WaveSample, frac_fourier, psi_coherent
 
 
+HALF_WIDTH = 12.0
+POINT_COUNTS = (51, 75, 101, 151, 201, 401, 801, 2001)
+ALPHA = 1.0  # amplitude of the round-trip coherent wavefunction
+
+
 @dataclass
 class SweepConfig:
     phi: float = 2.0 * math.pi / 5.0
     n_max: int = 10
-    half_width: float = 12.0
-    point_counts: tuple[int, ...] = (51, 75, 101, 151, 201, 401, 801, 2001)
-    alpha: complex = 1.0
 
 
 def round_trip_error(cfg: SweepConfig, grid: GridSpec) -> float:
-    sample = WaveSample(grid, psi_coherent(cfg.alpha, grid.x()))
+    sample = WaveSample(grid, psi_coherent(ALPHA, grid.x()))
     back = frac_fourier(frac_fourier(sample, cfg.phi), -cfg.phi)
     return float(np.abs(back.values - sample.values).max())
 
@@ -43,8 +45,8 @@ def main() -> None:
     cfg = SweepConfig(phi=args.phi, n_max=args.n_max)
 
     print("points,spacing,spectral_error,round_trip_error")
-    for points in cfg.point_counts:
-        grid = GridSpec(cfg.half_width, points)
+    for points in POINT_COUNTS:
+        grid = GridSpec(HALF_WIDTH, points)
         print(f"{points},{grid.spacing:.6g},{spectral_error(grid, cfg.phi, cfg.n_max):.6e},"
               f"{round_trip_error(cfg, grid):.6e}")
 

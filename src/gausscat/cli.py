@@ -40,10 +40,8 @@ from .superposition import (
     coefficients_by_inverse_dft,
     descriptor_to_json,
 )
-from .verify import GROUPS, VerifyConfig, run_checks
+from .verify import GROUPS, TOLERANCES, VerifyConfig, run_checks
 from .wavefunc import GridSpec, kitten_wave_sample
-
-COEFF_TOLERANCE = 1e-10
 
 
 def _fmt(value: float) -> str:
@@ -78,7 +76,8 @@ def cmd_coeffs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     closed_vals = np.array([c.value for c in closed])
     direct = direct_coefficients(f)[0]
     idft = coefficients_by_inverse_dft(f)[0]
-    discrepancies = np.maximum(np.abs(closed_vals - direct), np.abs(closed_vals - idft))
+    direct_disc, idft_disc = np.abs(closed_vals - direct), np.abs(closed_vals - idft)
+    discrepancies = np.maximum(direct_disc, idft_disc)
     max_disc = float(discrepancies.max())
 
     if args.format == "json":
@@ -117,7 +116,8 @@ def cmd_coeffs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             print(f"{k:>3}  {str(closed[k]):<18} {_fmt_complex(direct[k]):<42} "
                   f"{_fmt_complex(idft[k]):<42} {discrepancies[k]:.3e}")
         print(f"# max cross-route discrepancy: {max_disc:.3e}")
-    return 0 if max_disc <= COEFF_TOLERANCE else 1
+    return 0 if (direct_disc.max() <= TOLERANCES["closed-vs-direct"]
+                 and idft_disc.max() <= TOLERANCES["closed-vs-inverse-dft"]) else 1
 
 
 def _yurke_stoler_view(desc: KittenDescriptor) -> KittenDescriptor:

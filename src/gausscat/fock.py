@@ -31,7 +31,6 @@ __all__ = [
     "annihilation_matrix",
     "coherent_underflows",
     "coherent_vector",
-    "creation_matrix",
     "eigen_residual",
     "evolution_fidelity",
     "kerr_conjugation_residual",
@@ -86,11 +85,6 @@ def annihilation_matrix(dim: int) -> np.ndarray:
     n = np.arange(1, dim)
     m[n - 1, n] = np.sqrt(n)
     return m
-
-
-def creation_matrix(dim: int) -> np.ndarray:
-    """Raising operator: subdiagonal sqrt(n+1)."""
-    return annihilation_matrix(dim).T.conj()
 
 
 def rotation_diagonal(f: CoprimeFraction, dim: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from .superposition import (
     reference_state_table,
     verify_forward_dft,
 )
-from .wavefunc import GridSpec, hermite_basis, mehler_kernel
+from .wavefunc import GridSpec, hermite_basis
 
 __all__ = [
     "CheckResult",
@@ -75,6 +75,14 @@ class CheckResult:
     detail: str = ""
 
 
+# The fixed cases of the fock and wavefunc checks: evolution times, kernel
+# angles, integro-differential fractions M/N, and the cat wavefunctions' |x| range.
+TIMES = (0.3, 0.7, 2.0 * math.pi)
+SPECTRAL_ANGLES = (-math.pi / 2, math.pi / 2, 2.0 * math.pi / 3, 2.0 * math.pi / 5)
+GENEQ_FRACTIONS = ((1, 4), (3, 4), (1, 3))
+CAT_X_MAX = 6.0
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     """Sweep sizes and numerical parameters; defaults reproduce the full
@@ -87,12 +95,7 @@ class VerifyConfig:
     power_dim: int = 32
     grid: GridSpec = GridSpec(12.0, 2001)
     alphas: tuple[complex, ...] = (0.5, 1.0, 1.5 + 0.5j)
-    times: tuple[float, ...] = (0.3, 0.7, 2.0 * math.pi)
-    spectral_angles: tuple[float, ...] = (-math.pi / 2, math.pi / 2,
-                                          2.0 * math.pi / 3, 2.0 * math.pi / 5)
     spectral_n_max: int = 10
-    geneq_fractions: tuple[tuple[int, int], ...] = ((1, 4), (3, 4), (1, 3))
-    cat_x_max: float = 6.0
     cat_x_points: int = 481
 
 
@@ -191,28 +194,28 @@ def check_kerr(cfg: VerifyConfig) -> list[CheckResult]:
 
 def check_time_evolution(cfg: VerifyConfig) -> CheckResult:
     rows = ([r] for f, alpha in product(coprime_fractions(cfg.fock_n_max), cfg.alphas)
-            for r in fock.time_evolution_residual(alpha, f, cfg.times, cfg.dim))
-    times = ", ".join(f"{t:g}" for t in cfg.times)
+            for r in fock.time_evolution_residual(alpha, f, TIMES, cfg.dim))
+    times = ", ".join(f"{t:g}" for t in TIMES)
     return _sweep("fock", ["time-evolution"], rows, f"t in {{{times}}}")[0]
 
 
 def spectral_error(grid: GridSpec, phi: float, n_max: int) -> float:
     """max over n <= n_max and the grid of |F_phi psi_n - exp(-i*phi*n) psi_n|,
-    with F_phi the trapezoid quadrature of the dense Mehler kernel."""
-    x = grid.x()
-    basis = hermite_basis(n_max, x)
-    kernel = mehler_kernel(x[:, None], x[None, :], phi)
-    transformed = (grid.trapezoid_weights() * basis) @ kernel.T
+    with F_phi the program's own trapezoid transform, the one behind
+    ``frac_fourier``, applied to all n at once."""
+    basis = hermite_basis(n_max, grid.x())
+    transformed = wavefunc._trapezoid_transform(grid, basis, phi)
     expected = np.exp(-1j * phi * np.arange(n_max + 1))[:, None] * basis
     return float(np.abs(transformed - expected).max())
 
 
 def check_kernel_spectral(cfg: VerifyConfig) -> CheckResult:
-    """The dense Mehler kernel, by trapezoid quadrature (``spectral_error``), must
-    act on psi_n as multiplication by exp(-i*phi*n), which pins its normalization.
-    frac_fourier is not called here; a fault there shows in integro-differential."""
-    rows = ([spectral_error(cfg.grid, phi, cfg.spectral_n_max)] for phi in cfg.spectral_angles)
-    angles = ", ".join(f"{p:.4f}" for p in cfg.spectral_angles)
+    """The program's trapezoid transform (``spectral_error``) must act on psi_n
+    as multiplication by exp(-i*phi*n), which pins the kernel's normalization.
+    The public frac_fourier is not called here, so a fault in it alone shows in
+    integro-differential, and a fault in the shared transform shows in both."""
+    rows = ([spectral_error(cfg.grid, phi, cfg.spectral_n_max)] for phi in SPECTRAL_ANGLES)
+    angles = ", ".join(f"{p:.4f}" for p in SPECTRAL_ANGLES)
     return _sweep("wavefunc", ["kernel-spectral"], rows,
                   f"n <= {cfg.spectral_n_max}, phi in {{{angles}}}")[0]
 
@@ -222,8 +225,8 @@ def check_integro_differential(cfg: VerifyConfig) -> list[CheckResult]:
         return ([wavefunc.geneq_residual(1.0, CoprimeFraction(m, n), cfg.grid, cfg.dim)]
                 for m, n in fractions)
 
-    listed = ", ".join(f"{m}/{n}" for m, n in cfg.geneq_fractions)
-    return (_sweep("wavefunc", ["integro-differential"], rows(cfg.geneq_fractions),
+    listed = ", ".join(f"{m}/{n}" for m, n in GENEQ_FRACTIONS)
+    return (_sweep("wavefunc", ["integro-differential"], rows(GENEQ_FRACTIONS),
                    f"alpha=1, M/N in {{{listed}}}")
             + _sweep("wavefunc", ["integro-differential-parity"], rows([(1, 2)]),
                      "alpha=1, M/N = 1/2"))
@@ -233,7 +236,7 @@ def check_cat_wavefunctions(cfg: VerifyConfig) -> list[CheckResult]:
     """Closed-form cat wavefunctions against their coherent-state
     superpositions: exact for the parity cat, up to one global constant
     (fixed at x = 0) for the Fourier cat."""
-    x = np.linspace(-cfg.cat_x_max, cfg.cat_x_max, cfg.cat_x_points)
+    x = np.linspace(-CAT_X_MAX, CAT_X_MAX, cfg.cat_x_points)
     mid = cfg.cat_x_points // 2
     desc_p = build_descriptor(CoprimeFraction(1, 2))
     desc_f = build_descriptor(CoprimeFraction(3, 4))
@@ -247,7 +250,7 @@ def check_cat_wavefunctions(cfg: VerifyConfig) -> list[CheckResult]:
                 np.abs(sup_f - scale * closed_f).max())
 
     return _sweep("wavefunc", ["cat-wavefunction-parity", "cat-wavefunction-fourier"],
-                  map(residuals, cfg.alphas), f"|x| <= {cfg.cat_x_max:g}")
+                  map(residuals, cfg.alphas), f"|x| <= {CAT_X_MAX:g}")
 
 
 def run_checks(cfg: VerifyConfig | None = None,

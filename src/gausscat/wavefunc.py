@@ -187,7 +187,7 @@ def mehler_kernel(x, y, phi: float) -> np.ndarray:
 
     At phi = -pi/2 this is the ordinary Fourier kernel e^{ixy}/sqrt(2*pi).
     Raises for phi a multiple of pi, where the kernel degenerates to the
-    identity or parity delta; callers handle those as special cases.
+    identity or parity delta; the transform handles the parity case.
     """
     phi = reduce_angle(phi)
     s = math.sin(phi)
@@ -200,10 +200,21 @@ def mehler_kernel(x, y, phi: float) -> np.ndarray:
             * np.exp(1j * ((x * x + y * y) * math.cos(phi) - 2.0 * x * y) / (2.0 * s)))
 
 
+def _trapezoid_transform(grid: GridSpec, values: np.ndarray, phi: float) -> np.ndarray:
+    """F_phi on each row of a (..., P) array of samples on grid: trapezoid
+    quadrature of the Mehler kernel, or at phi = pi (mod 2*pi), where the
+    kernel is the parity delta, the reversal psi(-x)."""
+    phi = reduce_angle(phi)
+    if abs(math.sin(phi)) < 1e-9 and math.cos(phi) < 0.0:
+        return values[..., ::-1]
+    x = grid.x()
+    kernel = mehler_kernel(x[:, None], x[None, :], phi)
+    return (grid.trapezoid_weights() * values) @ kernel.T
+
+
 def frac_fourier(ws: WaveSample, phi: float) -> WaveSample:
-    """Fractional Fourier transform by trapezoid quadrature of the Mehler
-    kernel.  Warns when the input does not decay below 1e-12 at the grid
-    boundary (aliasing risk)."""
+    """Fractional Fourier transform of a sample (``_trapezoid_transform``); warns
+    when the input does not decay below 1e-12 at the grid boundary (aliasing risk)."""
     boundary = max(abs(ws.values[0]), abs(ws.values[-1]))
     if boundary >= 1e-12:
         warnings.warn(
@@ -211,10 +222,7 @@ def frac_fourier(ws: WaveSample, phi: float) -> WaveSample:
             AliasingWarning,
             stacklevel=2,
         )
-    x = ws.grid.x()
-    kernel = mehler_kernel(x[:, None], x[None, :], phi)
-    weighted = ws.grid.trapezoid_weights() * ws.values
-    return WaveSample(ws.grid, kernel @ weighted)
+    return WaveSample(ws.grid, _trapezoid_transform(ws.grid, ws.values, phi))
 
 
 def kitten_wave_sample(alpha: complex, f: CoprimeFraction, grid: GridSpec,
@@ -231,18 +239,12 @@ def geneq_residual(alpha: complex, f: CoprimeFraction, grid: GridSpec, dim: int)
 
     for the kitten wavefunction at truncation dim, as a max over interior
     grid points.  The derivative side is exact (ladder action on the
-    series); the right side is quadrature for sin(phi) != 0, and the parity
-    functional equation  (d/dx + x) psi(x) = sqrt(2) alpha psi(-x)  when
-    phi = pi (N = 2), which needs no integration at all.
+    series); the right side is ``frac_fourier`` of ``kitten_wave_sample``,
+    which for phi = pi (N = 2) is the parity map psi(-x) with no integration.
     """
     coeffs = kitten_vector_series(alpha, f, dim)
-    basis = hermite_basis(dim - 1, grid.x())
     # (d/dx + x) psi_n = sqrt(2n) psi_{n-1}; the top row, which would need the
     # truncated coefficient c_D, is dropped
-    lhs = (np.sqrt(2.0 * np.arange(1, dim)) * coeffs[1:]) @ basis[:-1]
-    sample = WaveSample(grid, coeffs @ basis)
-    if f.N == 2:
-        rhs = math.sqrt(2.0) * alpha * sample.values[::-1]
-    else:
-        rhs = math.sqrt(2.0) * alpha * frac_fourier(sample, f.angle_radians).values
-    return float(np.abs(lhs - rhs)[1:-1].max())
+    lhs = (np.sqrt(2.0 * np.arange(1, dim)) * coeffs[1:]) @ hermite_basis(dim - 2, grid.x())
+    rhs = frac_fourier(kitten_wave_sample(alpha, f, grid, dim), f.angle_radians).values
+    return float(np.abs(lhs - math.sqrt(2.0) * alpha * rhs)[1:-1].max())

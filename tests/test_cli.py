@@ -225,6 +225,24 @@ class TestMutationDetection:
         code, out, _ = run_cli(capsys, "coeffs", "1", "3")
         assert code == 1
 
+    @pytest.mark.parametrize("route", ["direct_coefficients", "coefficients_by_inverse_dft"])
+    def test_route_off_by_1e_11_fails_coeffs_exit_code(self, monkeypatch, capsys, route):
+        # coeffs exits 1 above the pinned 1e-12 of closed-vs-direct and
+        # closed-vs-inverse-dft
+        from gausscat import cli
+
+        original = getattr(cli, route)
+
+        def planted(*fractions):
+            rows = original(*fractions).copy()
+            rows[0, 2] += 1e-11
+            return rows
+
+        monkeypatch.setattr(cli, route, planted)
+        code, out, _ = run_cli(capsys, "coeffs", "2", "7")
+        assert code == 1
+        assert "# max cross-route discrepancy: 1.000e-11" in out
+
 
 class TestVerify:
     def test_gauss_group_passes(self, capsys):

@@ -16,7 +16,6 @@ from gausscat.fock import (
     annihilation_matrix,
     coherent_underflows,
     coherent_vector,
-    creation_matrix,
     eigen_residual,
     evolution_fidelity,
     kerr_conjugation_residual,
@@ -105,7 +104,7 @@ class TestLadderMatrices:
     def test_commutator_truncation_law(self):
         dim = 16
         a = annihilation_matrix(dim)
-        adag = creation_matrix(dim)
+        adag = a.T.conj()  # the raising operator: subdiagonal sqrt(n+1)
         comm = a @ adag - adag @ a
         off_diag = comm - np.diag(np.diag(comm))
         assert not off_diag.any()  # off-diagonal entries are exactly zero

@@ -194,7 +194,7 @@ MUTATIONS = [
     ("kerr-vector-identity", "fock", fock, "kerr_diagonal", _kerr_plus),
     ("kerr-matrix-identity", "fock", fock, "rotation_diagonal", _flipped_rotation),
     ("time-evolution", "fock", fock, "_evolved_pairs", _odd_levels),
-    ("kernel-spectral", "wavefunc", verify, "mehler_kernel",
+    ("kernel-spectral", "wavefunc", wavefunc, "mehler_kernel",
      lambda original: lambda x, y, phi: -original(x, y, phi)),
     ("integro-differential", "wavefunc", wavefunc, "frac_fourier",
      lambda original: lambda ws, phi: original(ws, -phi)),
@@ -230,6 +230,33 @@ class TestMutationMatrix:
         monkeypatch.setattr(module, name, fault(getattr(module, name)))
         result = self._results(group)[check]
         assert not result.passed, result
+
+
+class TestSharedTransform:
+    """kernel-spectral and integro-differential measure one trapezoid transform,
+    and only integro-differential goes through the public frac_fourier."""
+
+    def test_fault_in_the_transform_fails_both_checks(self, monkeypatch):
+        original = wavefunc._trapezoid_transform
+        monkeypatch.setattr(wavefunc, "_trapezoid_transform",
+                            lambda grid, values, phi: original(grid, values, -phi))
+        results = {r.name: r for r in run_checks(WAVE_SMALL, ["wavefunc"])}
+        assert not results["kernel-spectral"].passed
+        assert not results["integro-differential"].passed
+
+    def test_fault_in_the_first_frac_fourier_output_fails_integro_differential(
+            self, monkeypatch):
+        # the benchmark's frac-fourier-value fault: +1e-3 at the middle sample
+        # of the first frac_fourier output only
+        def corrupt(sample):
+            values = sample.values.copy()
+            values[values.size // 2] += 1e-3
+            return dataclasses.replace(sample, values=values)
+
+        _nan_at_call(monkeypatch, wavefunc, "frac_fourier", 1, corrupt)
+        results = {r.name: r for r in run_checks(WAVE_SMALL, ["wavefunc"])}
+        assert not results["integro-differential"].passed
+        assert results["kernel-spectral"].passed
 
 
 class TestValuesEvaluatedOnce:

@@ -190,6 +190,16 @@ class TestFracFourier:
         out = frac_fourier(sample, 2 * math.pi / 3)
         assert np.abs(out.values - sample.values).max() < 1e-7
 
+    @pytest.mark.parametrize("phi", [math.pi, -math.pi, 3 * math.pi])
+    def test_half_turn_is_the_parity_map(self, phi):
+        sample = kitten_wave_sample(1.0 + 0.5j, CoprimeFraction(1, 3), STANDARD_GRID, 64)
+        assert np.array_equal(frac_fourier(sample, phi).values, sample.values[::-1])
+
+    def test_zero_angle_rejected(self):
+        sample = WaveSample(STANDARD_GRID, psi_coherent(1.0, STANDARD_GRID.x()))
+        with pytest.raises(ValueError):
+            frac_fourier(sample, 0.0)
+
     def test_boundary_mass_warning(self):
         grid = GridSpec(3.0, 61)
         sample = WaveSample(grid, psi_coherent(2.0, grid.x()))
