@@ -258,6 +258,23 @@ class TestSharedTransform:
         assert not results["integro-differential"].passed
         assert results["kernel-spectral"].passed
 
+    def test_one_kernel_row_per_transform(self, monkeypatch):
+        # the normalization comes from mehler_kernel on every transform, as one
+        # row of P entries: 4 spectral angles and 3 fractions, the parity case
+        # being a reversal.  perfbench/tracer.py reports mehler_kernel's
+        # per-layer metrics only when it is called.
+        original = wavefunc.mehler_kernel
+        sizes = []
+
+        def counted(x, y, phi):
+            sizes.append(np.broadcast(x, y).size)
+            return original(x, y, phi)
+
+        monkeypatch.setattr(wavefunc, "mehler_kernel", counted)
+        run_checks(WAVE_SMALL, ["wavefunc"])
+        assert len(sizes) == len(verify.SPECTRAL_ANGLES) + len(verify.GENEQ_FRACTIONS) == 7
+        assert max(sizes) <= WAVE_SMALL.grid.points
+
 
 class TestValuesEvaluatedOnce:
     def test_gauss_sweep_evaluates_each_shared_value_once(self, monkeypatch):

@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from gausscat import wavefunc
 from gausscat.fock import coherent_vector
 from gausscat.gauss_sums import CoprimeFraction
 from gausscat.superposition import build_descriptor
@@ -205,6 +207,41 @@ class TestFracFourier:
         sample = WaveSample(grid, psi_coherent(2.0, grid.x()))
         with pytest.warns(AliasingWarning):
             frac_fourier(sample, math.pi / 2)
+
+
+class TestChirpZTransform:
+    """The FFT evaluation of the trapezoid sum against the sum itself: this is
+    the only place the dense P x P kernel is built."""
+
+    @pytest.mark.parametrize("points", [201, 401])
+    @pytest.mark.parametrize("phi, bound", [
+        (2.0, 1e-13), (-1.3, 1e-13), (math.pi / 2, 1e-13), (-math.pi / 2, 1e-13),
+        (7.0, 1e-13),
+        # near the pole the chirps carry phases of hundreds of radians
+        (3.0, 1e-12), (-3.1, 1e-12),
+    ])
+    def test_matches_the_dense_quadrature(self, points, phi, bound):
+        grid = GridSpec(10.0, points)
+        x = grid.x()
+        values = np.vstack([hermite_basis(6, x), psi_coherent(1.0 + 0.5j, x)])
+        dense = (grid.trapezoid_weights() * values) @ mehler_kernel(x[:, None], x[None, :], phi).T
+        assert np.abs(wavefunc._trapezoid_transform(grid, values, phi) - dense).max() <= bound
+
+    def test_wide_grid_integro_differential(self):
+        # 10^5 points, where the dense kernel would need 160 GB
+        grid = GridSpec(80.0, 100001)
+        assert geneq_residual(1.0, CoprimeFraction(1, 3), grid, 64) <= 1e-5
+
+    def test_wide_grid_memory_is_linear(self):
+        grid = GridSpec(80.0, 100001)
+        sample = WaveSample(grid, psi_coherent(1.0, grid.x()))
+        tracemalloc.start()
+        try:
+            frac_fourier(sample, 2 * math.pi / 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 class TestWaveSample:
