@@ -44,6 +44,11 @@ from .verify import GROUPS, TOLERANCES, VerifyConfig, run_checks
 from .wavefunc import GridSpec, kitten_wave_sample
 
 
+# Largest |trapezoid norm - 1| of a sampled wavefunction that passes silently;
+# on the default grid |alpha| <= 5 kittens are off by less than 1e-12.
+_NORM_DRIFT_BOUND = 1e-6
+
+
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
@@ -172,6 +177,10 @@ def cmd_wavefunction(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     sample = kitten_wave_sample(alpha, f, grid, args.dim)
     norm = sample.norm()
     print(f"# trapezoid norm = {_fmt(norm)}", file=sys.stderr)
+    if not abs(norm - 1.0) <= _NORM_DRIFT_BOUND:
+        print(f"norm-drift: trapezoid norm {_fmt(norm)} is off 1 by more than "
+              f"{_NORM_DRIFT_BOUND:g}; the samples do not hold the state (grid too narrow "
+              f"or too coarse, or the basis underflowed)", file=sys.stderr)
     x = grid.x()
     values = sample.values
     if args.format == "json":

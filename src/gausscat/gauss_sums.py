@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -266,6 +267,19 @@ def _quadratic_numerators(fractions: tuple[CoprimeFraction, ...]) -> tuple[int, 
     return n, m * j * (j if n % 2 == 0 else j - 1) % (2 * n)
 
 
+# Table entries per block of output indices k (``_k_blocks``) in the O(N^2)
+# routes, so that a call holds O(2^20 + phi(N)*N) values whatever N is; N <= 1024
+# takes one block.
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _k_blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices covering k = 0 .. N-1, each of at most
+    max(1, _BLOCK_ENTRIES // N) indices; the last may be shorter."""
+    rows = max(1, _BLOCK_ENTRIES // n)
+    return (slice(k, min(k + rows, n)) for k in range(0, n, rows))
+
+
 def direct_coefficients(*fractions: CoprimeFraction) -> np.ndarray:
     """All N coefficients of each fraction by plain summation of the defining
     Gauss sums: one row per fraction, for fractions of one denominator N.
@@ -273,13 +287,16 @@ def direct_coefficients(*fractions: CoprimeFraction) -> np.ndarray:
     Every exponent is an exact integer multiple of pi/N: its quadratic and
     cross terms are each reduced mod 2N, and their sum indexes one table of
     the 2N-th roots of unity, stored twice over, so the only floating-point
-    error is the final N-term accumulation.  Rows are summed one at a time.
+    error is the final N-term accumulation.  The cross terms are built for
+    one block of output indices k at a time (``_k_blocks``), and within a
+    block the fractions are summed one at a time.
     """
     n, quad = _quadratic_numerators(fractions)
     ell = np.arange(n, dtype=np.int64)
-    cross = (2 * np.outer(ell, ell)) % (2 * n)
     roots = unit_phase(np.arange(4 * n), n).conj()
     rows = np.empty(quad.shape, dtype=complex)
-    for row, q in zip(rows, quad):
-        row[:] = roots[q + cross].sum(axis=1) / n
+    for block in _k_blocks(n):
+        cross = (2 * np.outer(ell[block], ell)) % (2 * n)
+        for row, q in zip(rows, quad):
+            row[block] = roots[q + cross].sum(axis=1) / n
     return rows

@@ -29,6 +29,7 @@ from .gauss_sums import (
     CoprimeFraction,
     ExactCoefficient,
     RationalAngle,
+    _k_blocks,
     _quadratic_numerators,
     closed_coefficients,
     unit_phase,
@@ -106,11 +107,20 @@ def build_descriptor(f: CoprimeFraction) -> KittenDescriptor:
 
 def _dft_tables(fractions: tuple[CoprimeFraction, ...]) -> tuple[int, np.ndarray, np.ndarray]:
     """N, the target phases exp(-i*pi*q/N) of the quadratic numerators q, one row per
-    fraction, and the inverse-DFT matrix exp(-2*pi*i*k*l/N), from one table of roots."""
+    fraction, and the twiddle row exp(-2*pi*i*l/N), l = 0 .. N-1, from one table of roots."""
     n, quad = _quadratic_numerators(fractions)
-    kl = np.outer(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64)) % n
     roots = unit_phase(np.arange(2 * n), n)
-    return n, roots[-quad % (2 * n)], roots[::2].conj()[kl]
+    return n, roots[-quad % (2 * n)], roots[::2].conj()
+
+
+def _dft_rows(twiddle: np.ndarray, block: slice) -> np.ndarray:
+    """Rows k in ``block`` of the inverse-DFT matrix exp(-2*pi*i*k*l/N), gathered
+    from the twiddle row at the exact indices k*l mod N."""
+    n = len(twiddle)
+    k = np.arange(block.start, block.stop, dtype=np.int64)
+    kl = np.outer(k, np.arange(n, dtype=np.int64))
+    kl %= n  # in place: one block-sized index table
+    return twiddle[kl]
 
 
 def coefficients_by_inverse_dft(*fractions: CoprimeFraction) -> np.ndarray:
@@ -120,10 +130,11 @@ def coefficients_by_inverse_dft(*fractions: CoprimeFraction) -> np.ndarray:
 
     Deliberately the naive O(N^2) transform with target and twiddle kept as
     separate complex factors; this is an independent cross-check of both the
-    direct summation and the closed forms.  All rows are one matrix product.
+    direct summation and the closed forms.  Each block of output indices k
+    (``_k_blocks``) is one matrix product over all rows.
     """
-    n, targets, dft = _dft_tables(fractions)
-    return (targets @ dft.T) / n
+    n, targets, twiddle = _dft_tables(fractions)
+    return np.hstack([targets @ _dft_rows(twiddle, block).T for block in _k_blocks(n)]) / n
 
 
 def verify_forward_dft(*fractions: CoprimeFraction, coefficients: np.ndarray) -> np.ndarray:
@@ -131,13 +142,20 @@ def verify_forward_dft(*fractions: CoprimeFraction, coefficients: np.ndarray) ->
     - t_j| for its row c of ``coefficients`` and t as in ``coefficients_by_inverse_dft``.
 
     Zero (up to rounding) exactly when the coefficient row solves the
-    defining linear system; a perturbed row produces an O(1) error.
+    defining linear system; a perturbed row produces an O(1) error.  The
+    forward matrix is built one block of indices j at a time.
     """
-    n, targets, dft = _dft_tables(fractions)
+    n, targets, twiddle = _dft_tables(fractions)
     c = np.asarray(coefficients, dtype=complex)
     if c.shape != (len(fractions), n):
         raise ValueError(f"expected {len(fractions)} rows of {n} values, got {c.shape}")
-    return np.abs(c @ np.conj(dft, out=dft).T - targets).max(axis=1)  # no N x N copy
+
+    def block_residual(block: slice) -> np.ndarray:
+        forward = _dft_rows(twiddle, block)
+        return np.abs(c @ np.conj(forward, out=forward).T  # no block-sized copy
+                      - targets[:, block]).max(axis=1)
+
+    return np.max([block_residual(block) for block in _k_blocks(n)], axis=0)
 
 
 # pentagonal rotations: 1, e^{2 pi i/5}, ..., e^{8 pi i/5}

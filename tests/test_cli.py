@@ -109,6 +109,24 @@ class TestWavefunction:
         norm = float(err.split("=")[1])
         assert abs(norm - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_grid_that_misses_the_state_warns_norm_drift(self, capsys, fmt):
+        # |alpha| = 5 puts the components near x = +-7, outside |x| <= 4
+        code, out, err = run_cli(capsys, "wavefunction", "1", "3", "--alpha", "5,0", "--dim",
+                                 "64", "--grid-half-width", "4", "--format", fmt)
+        assert code == 0
+        assert out
+        lines = err.splitlines()
+        assert lines[0] == "# trapezoid norm = 0.68859874697442292"
+        assert len(lines) == 2 and lines[1].startswith("norm-drift: ")
+        assert "0.68859874697442292" in lines[1] and "1e-06" in lines[1]
+
+    def test_default_grid_at_alpha_five_is_silent(self, capsys):
+        code, _, err = run_cli(capsys, "wavefunction", "1", "3", "--alpha", "5,0",
+                               "--dim", "128")
+        assert code == 0
+        assert err.startswith("# trapezoid norm = ") and len(err.splitlines()) == 1
+
     def test_alpha_zero_gives_ground_state(self, capsys):
         code, out, _ = run_cli(capsys, "wavefunction", "1", "3", "--alpha", "0,0",
                                "--grid-points", "201")

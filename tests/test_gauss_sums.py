@@ -1,19 +1,25 @@
 """Unit tests for the exact phase carrier and the Gauss-sum routes."""
 
 import cmath
+import contextlib
 import dataclasses
+import io
 import math
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given
 
+from gausscat import cli
 from gausscat.gauss_sums import (
     CoprimeFraction,
     ExactCoefficient,
     RationalAngle,
     _closed_numerators,
+    _k_blocks,
+    _quadratic_numerators,
     closed_coefficients,
     direct_coefficients,
     jacobi_symbol,
@@ -405,6 +411,80 @@ def test_every_route_rejects_mixed_or_no_denominator(route):
         route(CoprimeFraction(1, 3), CoprimeFraction(1, 4))
     with pytest.raises(ValueError, match=r"^need fractions of one denominator, got \[\]$"):
         route()
+
+
+def _dense_dft(n):
+    """The whole N x N inverse-DFT matrix exp(-2*pi*i*k*l/N): the dense
+    formula that the blocked routes must reproduce."""
+    ell = np.arange(n, dtype=np.int64)
+    return unit_phase(2 * (np.outer(ell, ell) % n), n).conj()
+
+
+@pytest.mark.parametrize("m, n, blocks", [(1, 1031, 2), (3, 2048, 4), (2, 1725, 3)])
+class TestMultiBlockRoutes:
+    """Above N = 1024 the O(N^2) routes take several blocks of output indices k
+    (the last one short at 1031 and 1725); each must equal its dense formula
+    bit for bit."""
+
+    def test_block_count(self, m, n, blocks):
+        slices = list(_k_blocks(n))
+        assert len(slices) == blocks
+        assert np.array_equal(np.concatenate([np.arange(n)[s] for s in slices]), np.arange(n))
+
+    def test_direct(self, m, n, blocks):
+        f = CoprimeFraction(m, n)
+        assert np.array_equal(direct_coefficients(f)[0], _direct_modulo_reference(f))
+
+    def test_inverse_dft(self, m, n, blocks):
+        f = CoprimeFraction(m, n)
+        _, quad = _quadratic_numerators((f,))
+        targets = unit_phase(-quad, n)
+        assert np.array_equal(coefficients_by_inverse_dft(f), (targets @ _dense_dft(n).T) / n)
+
+    def test_forward_dft(self, m, n, blocks):
+        f = CoprimeFraction(m, n)
+        _, quad = _quadratic_numerators((f,))
+        targets = unit_phase(-quad, n)
+        c = direct_coefficients(f)
+        want = np.abs(c @ _dense_dft(n).conj().T - targets).max(axis=1)
+        assert np.array_equal(verify_forward_dft(f, coefficients=c), want)
+        c[0, -1] += 0.1  # a fault in the last block's coefficient shows at every j
+        assert verify_forward_dft(f, coefficients=c)[0] >= 0.05
+
+
+def test_rows_of_one_denominator_across_blocks():
+    # several fractions and several blocks: the direct rows are the single-call
+    # rows exactly; the inverse-DFT matrix product may round its columns differently
+    fractions = [CoprimeFraction(m, 1155) for m in range(1, 40) if math.gcd(m, 1155) == 1]
+    direct = direct_coefficients(*fractions)
+    idft = coefficients_by_inverse_dft(*fractions)
+    for r, f in enumerate(fractions):
+        assert np.array_equal(direct[r], direct_coefficients(f)[0])
+        assert np.abs(idft[r] - coefficients_by_inverse_dft(f)[0]).max() < 1e-15
+
+
+def _coeffs_json_2001():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["coeffs", "1", "2001", "--format", "json"]) == 0
+
+
+@pytest.mark.parametrize("call", [
+    direct_coefficients,
+    coefficients_by_inverse_dft,
+    lambda f: verify_forward_dft(f, coefficients=np.ones((1, f.N), dtype=complex)),
+    lambda f: _coeffs_json_2001(),
+], ids=["direct", "inverse-dft", "forward-dft", "cli-coeffs"])
+def test_one_call_stays_within_48_mb(call):
+    # whole N x N tables at N = 2003 take 92-123 MB of traced allocations;
+    # blocks of about 2^20 entries take about 32 MB whatever N is
+    f = CoprimeFraction(1, 2003)
+    tracemalloc.start()
+    try:
+        call(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 class TestAlternatingSum:
