@@ -33,7 +33,6 @@ from .gauss_sums import (
     direct_coefficients,
 )
 from .superposition import (
-    KittenComponent,
     KittenDescriptor,
     build_descriptor,
     coefficient_to_dict,
@@ -128,10 +127,7 @@ def cmd_coeffs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 def _yurke_stoler_view(desc: KittenDescriptor) -> KittenDescriptor:
     """Fold the substitution alpha -> -i*alpha into the rotations."""
     shift = RationalAngle(3, 2)  # -pi/2
-    components = tuple(
-        KittenComponent(c.k, c.coefficient, c.rotation + shift)
-        for c in desc.components
-    )
+    components = tuple(replace(c, rotation=c.rotation + shift) for c in desc.components)
     return replace(desc, components=components)
 
 
@@ -146,8 +142,8 @@ def cmd_state(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         label = "-i·α" if args.yurke_stoler else "α"
         print(f"# superposition for M/N = {f.M}/{f.N} ({desc.parity} N), "
               f"amplitude {label}")
-        for c in desc.components:
-            print(f"k={c.k}: {c.coefficient} · |exp(i·{c.rotation})·α⟩")
+        for k, c in enumerate(desc.components):
+            print(f"k={k}: {c.coefficient} · |exp(i·{c.rotation})·α⟩")
     return 0
 
 
@@ -179,8 +175,8 @@ def cmd_wavefunction(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     print(f"# trapezoid norm = {_fmt(norm)}", file=sys.stderr)
     if not abs(norm - 1.0) <= _NORM_DRIFT_BOUND:
         print(f"norm-drift: trapezoid norm {_fmt(norm)} is off 1 by more than "
-              f"{_NORM_DRIFT_BOUND:g}; the samples do not hold the state (grid too narrow "
-              f"or too coarse, or the basis underflowed)", file=sys.stderr)
+              f"{_NORM_DRIFT_BOUND:g}; the grid is too narrow or too coarse, the basis "
+              f"underflowed, or the state's Fock tail beyond --dim is cut off", file=sys.stderr)
     x = grid.x()
     values = sample.values
     if args.format == "json":

@@ -156,29 +156,23 @@ class CoprimeFraction:
 
 @dataclass(frozen=True, slots=True)
 class ExactCoefficient:
-    """An exact superposition coefficient sign * exp(i*pi*phase) / sqrt(n).
+    """An exact superposition coefficient exp(i*pi*phase) / sqrt(n).
 
-    Normalized on construction: a -1 sign is folded into the phase (adding
-    pi), so equality of coefficients is plain field equality.  ``inv_sqrt_n``
+    The phase is a canonical ``RationalAngle``, so a -1 is the phase pi and
+    equality of coefficients is plain field equality.  ``inv_sqrt_n``
     stores the integer n whose inverse square root is the magnitude, and
     ``value`` the complex number, evaluated once here (not compared).
     """
 
-    sign: int
     inv_sqrt_n: int
     phase: RationalAngle
     value: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
         if self.inv_sqrt_n < 1:
             raise ValueError("inv_sqrt_n must be a positive integer")
-        if self.sign == -1:
-            object.__setattr__(self, "phase", self.phase + RationalAngle(1))
-            object.__setattr__(self, "sign", 1)
         object.__setattr__(self, "value",
-                           self.sign * self.phase.to_complex() / math.sqrt(self.inv_sqrt_n))
+                           self.phase.to_complex() / math.sqrt(self.inv_sqrt_n))
 
     def __str__(self) -> str:
         root = f"√{self.inv_sqrt_n}"
@@ -254,7 +248,7 @@ def closed_coefficients(*fractions: CoprimeFraction) -> list[ExactCoefficient]:
     n = _one_denominator(fractions)
     nums, at = np.unique(np.concatenate([_closed_numerators(f) for f in fractions]),
                          return_inverse=True)
-    shared = [ExactCoefficient(1, n, RationalAngle(num, 4 * n)) for num in nums.tolist()]
+    shared = [ExactCoefficient(n, RationalAngle(num, 4 * n)) for num in nums.tolist()]
     return np.array(shared, dtype=object)[at].tolist()
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "build_descriptor",
     "coefficient_to_dict",
     "coefficients_by_inverse_dft",
-    "descriptor_from_json",
     "descriptor_to_json",
     "reference_state_table",
     "verify_forward_dft",
@@ -50,9 +49,9 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class KittenComponent:
-    """One branch of the superposition: coefficient * |exp(i*rotation)*alpha>."""
+    """One branch of the superposition: coefficient * |exp(i*rotation)*alpha>;
+    its index k is its position in the descriptor's components."""
 
-    k: int
     coefficient: ExactCoefficient
     rotation: RationalAngle
 
@@ -61,31 +60,28 @@ class KittenComponent:
 class KittenDescriptor:
     """The full finite superposition for a fraction M/N.
 
-    Exactly N components ordered by the derivation index k (not by angle);
-    every coefficient has magnitude 1/sqrt(N) so the weights sum to one by
-    construction, and the rotations are pairwise distinct mod 2*pi.
+    Exactly N components, component k at position k (the derivation index,
+    not the angle); every coefficient has magnitude 1/sqrt(N) so the weights
+    sum to one by construction, and the rotations are pairwise distinct mod
+    2*pi.  ``parity`` ("even" or "odd") is that of N.
     """
 
     fraction: CoprimeFraction
-    parity: str  # "even" | "odd" (parity of N)
     components: tuple[KittenComponent, ...]
 
     def __post_init__(self) -> None:
         n = self.fraction.N
-        if self.parity != ("even" if n % 2 == 0 else "odd"):
-            raise ValueError(f"parity {self.parity!r} does not match N = {n}")
         if len(self.components) != n:
             raise ValueError(f"expected {n} components, got {len(self.components)}")
-        if [c.k for c in self.components] != list(range(n)):
-            raise ValueError("components must be ordered k = 0 .. N-1")
         if any(c.coefficient.inv_sqrt_n != n for c in self.components):
             raise ValueError("every coefficient must have magnitude 1/sqrt(N)")
         rotations = {(c.rotation.num, c.rotation.den) for c in self.components}
         if len(rotations) != n:
             raise ValueError("rotations must be distinct mod 2*pi")
 
-    def coefficient_values(self) -> np.ndarray:
-        return np.array([c.coefficient.value for c in self.components])
+    @property
+    def parity(self) -> str:
+        return "even" if self.fraction.n_even else "odd"
 
 
 def component_rotation(f: CoprimeFraction, k: int) -> RationalAngle:
@@ -98,11 +94,8 @@ def component_rotation(f: CoprimeFraction, k: int) -> RationalAngle:
 def build_descriptor(f: CoprimeFraction) -> KittenDescriptor:
     """Descriptor with closed-form coefficients and parity-correct rotations."""
     coeffs = closed_coefficients(f)
-    components = tuple(
-        KittenComponent(k, coeffs[k], component_rotation(f, k))
-        for k in range(f.N)
-    )
-    return KittenDescriptor(f, "even" if f.n_even else "odd", components)
+    return KittenDescriptor(f, tuple(KittenComponent(coeffs[k], component_rotation(f, k))
+                                     for k in range(f.N)))
 
 
 def _dft_tables(fractions: tuple[CoprimeFraction, ...]) -> tuple[int, np.ndarray, np.ndarray]:
@@ -164,16 +157,13 @@ _PENTAGON_ROTS = [(0, 1), (2, 5), (4, 5), (6, 5), (8, 5)]
 
 def _reference_state(m: int, n: int,
                      phases: Iterable[tuple[int, int]],
-                     rotations: Iterable[tuple[int, int]],
-                     signs: Iterable[int] | None = None) -> tuple[CoprimeFraction, KittenDescriptor]:
+                     rotations: Iterable[tuple[int, int]]) -> tuple[CoprimeFraction, KittenDescriptor]:
     f = CoprimeFraction(m, n)
-    signs = list(signs) if signs is not None else [1] * n
     components = tuple(
-        KittenComponent(k, ExactCoefficient(signs[k], n, RationalAngle(pn, pd)),
-                        RationalAngle(rn, rd))
-        for k, ((pn, pd), (rn, rd)) in enumerate(zip(phases, rotations))
+        KittenComponent(ExactCoefficient(n, RationalAngle(pn, pd)), RationalAngle(rn, rd))
+        for (pn, pd), (rn, rd) in zip(phases, rotations)
     )
-    return f, KittenDescriptor(f, "even" if n % 2 == 0 else "odd", components)
+    return f, KittenDescriptor(f, components)
 
 
 def reference_state_table() -> list[tuple[CoprimeFraction, KittenDescriptor]]:
@@ -181,11 +171,10 @@ def reference_state_table() -> list[tuple[CoprimeFraction, KittenDescriptor]]:
 
     Each entry was worked out independently of ``build_descriptor`` (by
     completing the square in the defining sums by hand) and is stored
-    literally; a bare -1 coefficient is kept as sign = -1 and folded into
-    the phase by normalization.  Covered: the two-component parity cat
-    (M=1, N=2), the four-component Fourier compass state (M=3, N=4) and
-    its inverse-Fourier mirror (M=1, N=4), both triangular states (N=3),
-    and the full pentagonal family (N=5).
+    literally; a bare -1 coefficient is written as the phase pi, (1, 1).
+    Covered: the two-component parity cat (M=1, N=2), the four-component
+    Fourier compass state (M=3, N=4) and its inverse-Fourier mirror (M=1,
+    N=4), both triangular states (N=3), and the full pentagonal family (N=5).
     """
     return [
         # M=1, N=2: (e^{-i pi/4} |i a> + e^{+i pi/4} |-i a>)/sqrt 2
@@ -203,21 +192,24 @@ def reference_state_table() -> list[tuple[CoprimeFraction, KittenDescriptor]]:
         _reference_state(3, 4, [(5, 4), (0, 1), (1, 4), (0, 1)],
                          [(3, 4), (5, 4), (7, 4), (1, 4)]),
         # N=5 pentagonal family
-        _reference_state(1, 5, [(-1, 5), (-1, 5), (1, 5), (0, 1), (1, 5)],
-                         _PENTAGON_ROTS, signs=[1, 1, 1, -1, 1]),
+        _reference_state(1, 5, [(-1, 5), (-1, 5), (1, 5), (1, 1), (1, 5)],
+                         _PENTAGON_ROTS),
         _reference_state(2, 5, [(-2, 5), (0, 1), (-2, 5), (2, 5), (2, 5)],
                          _PENTAGON_ROTS),
         _reference_state(3, 5, [(2, 5), (-2, 5), (-2, 5), (2, 5), (0, 1)],
                          _PENTAGON_ROTS),
-        _reference_state(4, 5, [(1, 5), (-1, 5), (0, 1), (-1, 5), (1, 5)],
-                         _PENTAGON_ROTS, signs=[1, 1, -1, 1, 1]),
+        _reference_state(4, 5, [(1, 5), (-1, 5), (1, 1), (-1, 5), (1, 5)],
+                         _PENTAGON_ROTS),
     ]
 
 
 def coefficient_to_dict(c: ExactCoefficient) -> dict:
-    """The wire form of one exact coefficient: sign * exp(i*pi*num/den) / sqrt(inv_sqrt)."""
+    """The wire form of one exact coefficient, exp(i*pi*num/den) / sqrt(inv_sqrt).
+
+    The phase carries any -1, so the format's ``"sign"`` is always 1.
+    """
     return {
-        "sign": c.sign,
+        "sign": 1,
         "phase_num": c.phase.num,
         "phase_den": c.phase.den,
         "inv_sqrt": c.inv_sqrt_n,
@@ -236,27 +228,12 @@ def descriptor_to_json(desc: KittenDescriptor) -> str:
         "parity": desc.parity,
         "components": [
             {
-                "k": c.k,
+                "k": k,
                 "coeff": coefficient_to_dict(c.coefficient),
                 "rotation": {"num": c.rotation.num, "den": c.rotation.den},
             }
-            for c in desc.components
+            for k, c in enumerate(desc.components)
         ],
     }
     return json.dumps(obj, indent=2)
 
-
-def descriptor_from_json(text: str) -> KittenDescriptor:
-    obj = json.loads(text)
-    f = CoprimeFraction(obj["M"], obj["N"])
-    components = tuple(
-        KittenComponent(
-            entry["k"],
-            ExactCoefficient(entry["coeff"]["sign"], entry["coeff"]["inv_sqrt"],
-                             RationalAngle(entry["coeff"]["phase_num"],
-                                           entry["coeff"]["phase_den"])),
-            RationalAngle(entry["rotation"]["num"], entry["rotation"]["den"]),
-        )
-        for entry in obj["components"]
-    )
-    return KittenDescriptor(f, obj["parity"], components)

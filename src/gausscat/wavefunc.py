@@ -265,13 +265,15 @@ def geneq_residual(alpha: complex, f: CoprimeFraction, grid: GridSpec, dim: int)
         (d/dx + x) psi(x) = sqrt(2) alpha [F_phi psi](x)
 
     for the kitten wavefunction at truncation dim, as a max over interior
-    grid points.  The derivative side is exact (ladder action on the
-    series); the right side is ``frac_fourier`` of ``kitten_wave_sample``,
+    grid points.  One truncated series c and one basis psi_0 .. psi_{dim-1}
+    serve both sides.  The derivative side is exact (ladder action on the
+    series); the right side is ``frac_fourier`` of the samples sum_n c_n psi_n,
     which for phi = pi (N = 2) is the parity map psi(-x) with no integration.
     """
     coeffs = kitten_vector_series(alpha, f, dim)
+    basis = hermite_basis(dim - 1, grid.x())
     # (d/dx + x) psi_n = sqrt(2n) psi_{n-1}; the top row, which would need the
     # truncated coefficient c_D, is dropped
-    lhs = (np.sqrt(2.0 * np.arange(1, dim)) * coeffs[1:]) @ hermite_basis(dim - 2, grid.x())
-    rhs = frac_fourier(kitten_wave_sample(alpha, f, grid, dim), f.angle_radians).values
+    lhs = (np.sqrt(2.0 * np.arange(1, dim)) * coeffs[1:]) @ basis[:-1]
+    rhs = frac_fourier(WaveSample(grid, coeffs @ basis), f.angle_radians).values
     return float(np.abs(lhs - math.sqrt(2.0) * alpha * rhs)[1:-1].max())

@@ -8,7 +8,7 @@ import pytest
 
 from gausscat.cli import main
 from gausscat.gauss_sums import CoprimeFraction
-from gausscat.superposition import build_descriptor, descriptor_from_json
+from gausscat.superposition import build_descriptor, descriptor_to_json
 from gausscat.wavefunc import psi_cat_P
 
 
@@ -52,7 +52,8 @@ class TestState:
     def test_json_round_trips_to_descriptor(self, capsys):
         code, out, _ = run_cli(capsys, "state", "1", "3", "--format", "json")
         assert code == 0
-        assert descriptor_from_json(out) == build_descriptor(CoprimeFraction(1, 3))
+        # the descriptor's own wire form, which decodes back to it (test_superposition)
+        assert out == descriptor_to_json(build_descriptor(CoprimeFraction(1, 3))) + "\n"
 
     def test_json_phases(self, capsys):
         _, out, _ = run_cli(capsys, "state", "1", "3", "--format", "json")
@@ -120,6 +121,20 @@ class TestWavefunction:
         assert lines[0] == "# trapezoid norm = 0.68859874697442292"
         assert len(lines) == 2 and lines[1].startswith("norm-drift: ")
         assert "0.68859874697442292" in lines[1] and "1e-06" in lines[1]
+
+    def test_fock_tail_beyond_dim_is_named_as_a_cause(self, capsys):
+        # dim 489 is the least that the truncation guard allows at |alpha| = 20; the
+        # samples are right, and the norm misses the weight of the series beyond dim
+        code, out, err = run_cli(capsys, "wavefunction", "1", "3", "--alpha", "20,0",
+                                 "--dim", "489", "--grid-half-width", "80",
+                                 "--grid-points", "4001")
+        assert code == 0
+        assert len(out.splitlines()) == 4002
+        lines = err.splitlines()
+        assert lines[0] == "# trapezoid norm = 0.99999539663435699"
+        assert len(lines) == 2 and lines[1].startswith("norm-drift: ")
+        assert "0.99999539663435699" in lines[1] and "1e-06" in lines[1]
+        assert "Fock tail beyond --dim" in lines[1]
 
     def test_default_grid_at_alpha_five_is_silent(self, capsys):
         code, _, err = run_cli(capsys, "wavefunction", "1", "3", "--alpha", "5,0",

@@ -188,37 +188,32 @@ class TestRationalAngle:
 
 
 class TestExactCoefficient:
-    def test_sign_folded_into_phase(self):
-        negative = ExactCoefficient(-1, 5, RationalAngle(0, 1))
-        assert negative == ExactCoefficient(1, 5, RationalAngle(1, 1))
-        assert negative.sign == 1
-
     def test_magnitude_and_value(self):
-        c = ExactCoefficient(1, 2, RationalAngle(7, 4))
+        c = ExactCoefficient(2, RationalAngle(7, 4))
         assert abs(abs(c.value) - 1 / math.sqrt(2)) < 1e-15
         assert abs(c.value - cmath.exp(-0.25j * math.pi) / math.sqrt(2)) < 1e-15
 
     def test_value_takes_no_part_in_equality_or_hash(self):
-        folded = ExactCoefficient(-1, 5, RationalAngle(0, 1))
-        plain = ExactCoefficient(1, 5, RationalAngle(1, 1))
+        folded = ExactCoefficient(5, RationalAngle(-1, 1))
+        plain = ExactCoefficient(5, RationalAngle(1, 1))
         assert folded == plain and hash(folded) == hash(plain)
         assert folded.value == plain.value == -1 / math.sqrt(5)
         assert "value" not in repr(folded)
         with pytest.raises(TypeError):
-            ExactCoefficient(1, 5, RationalAngle(0, 1), value=1.0)
+            ExactCoefficient(5, RationalAngle(0, 1), value=1.0)
 
     def test_replace_recomputes_value(self):
-        c = ExactCoefficient(1, 3, RationalAngle(1, 6))
+        c = ExactCoefficient(3, RationalAngle(1, 6))
         moved = dataclasses.replace(c, phase=RationalAngle(3, 2))
         assert moved.value == -1j / math.sqrt(3)
         assert moved.value != c.value
-        assert dataclasses.replace(moved, sign=-1).value == 1j / math.sqrt(3)
+        assert dataclasses.replace(moved, inv_sqrt_n=4).value == -0.5j
 
     def test_invalid_fields_rejected(self):
         with pytest.raises(ValueError):
-            ExactCoefficient(2, 3, RationalAngle(0, 1))
+            ExactCoefficient(0, RationalAngle(0, 1))
         with pytest.raises(ValueError):
-            ExactCoefficient(1, 0, RationalAngle(0, 1))
+            ExactCoefficient(-3, RationalAngle(0, 1))
 
 
 class TestCoprimeFraction:
@@ -328,24 +323,24 @@ class TestDirectRoute:
 class TestClosedRoute:
     def test_parity_cat_exact_phase(self):
         c = closed_coefficients(CoprimeFraction(1, 2))[0]
-        assert c == ExactCoefficient(1, 2, RationalAngle(7, 4))
+        assert c == ExactCoefficient(2, RationalAngle(7, 4))
 
     def test_compass_unit_coefficient(self):
         c = closed_coefficients(CoprimeFraction(3, 4))[3]
-        assert c == ExactCoefficient(1, 4, RationalAngle(0, 1))
+        assert c == ExactCoefficient(4, RationalAngle(0, 1))
 
     def test_even_numerator_branch(self):
         c = closed_coefficients(CoprimeFraction(2, 3))[1]
-        assert c == ExactCoefficient(1, 3, RationalAngle(3, 2))
+        assert c == ExactCoefficient(3, RationalAngle(3, 2))
 
     def test_odd_odd_branch(self):
         c = closed_coefficients(CoprimeFraction(1, 3))[0]
-        assert c == ExactCoefficient(1, 3, RationalAngle(11, 6))
+        assert c == ExactCoefficient(3, RationalAngle(11, 6))
 
     def test_closed_coefficients_matches_per_k(self):
         # every fraction in order, so most calls reuse the values of one N
         for f in coprime_fractions(60):
-            want = [ExactCoefficient(1, f.N, RationalAngle(num, 4 * f.N))
+            want = [ExactCoefficient(f.N, RationalAngle(num, 4 * f.N))
                     for num in _closed_reference(f.M, f.N)]
             assert closed_coefficients(f) == want, f
 

@@ -18,16 +18,6 @@ def run_script(monkeypatch, capsys, name, *args):
     return capsys.readouterr().out
 
 
-def test_state_tables(monkeypatch, capsys):
-    out = run_script(monkeypatch, capsys, "state_tables.py", "--n-max", "4")
-    headers = [line for line in out.splitlines() if line.startswith("M/N = ")]
-    components = [line for line in out.splitlines() if line.startswith("    k=")]
-    # 1/2, 1/3, 2/3, 1/4, 3/4 with N components each
-    assert [h.split()[2] for h in headers] == ["1/2", "1/3", "2/3", "1/4", "3/4"]
-    assert len(components) == 2 + 3 + 3 + 4 + 4
-    assert all(float(h.split("discrepancy ")[1].rstrip(")")) < 1e-12 for h in headers)
-
-
 def test_kernel_convergence(monkeypatch, capsys):
     # the coarsest grids cannot resolve the transformed state and say so
     with pytest.warns(AliasingWarning):

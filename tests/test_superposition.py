@@ -2,6 +2,7 @@
 reference table."""
 
 import cmath
+import json
 import math
 
 import hypothesis.strategies as st
@@ -21,7 +22,6 @@ from gausscat.superposition import (
     KittenDescriptor,
     build_descriptor,
     coefficients_by_inverse_dft,
-    descriptor_from_json,
     descriptor_to_json,
     reference_state_table,
     verify_forward_dft,
@@ -43,6 +43,25 @@ def _rotations(desc):
     return [(c.rotation.num, c.rotation.den) for c in desc.components]
 
 
+def _values(desc):
+    return np.array([c.coefficient.value for c in desc.components])
+
+
+def _parse_descriptor(text):
+    """The descriptor that a JSON text of ``descriptor_to_json`` describes."""
+    obj = json.loads(text)
+    assert [c["k"] for c in obj["components"]] == list(range(obj["N"]))
+    assert all(c["coeff"]["sign"] == 1 for c in obj["components"])
+    desc = KittenDescriptor(CoprimeFraction(obj["M"], obj["N"]), tuple(
+        KittenComponent(
+            ExactCoefficient(c["coeff"]["inv_sqrt"],
+                             RationalAngle(c["coeff"]["phase_num"], c["coeff"]["phase_den"])),
+            RationalAngle(c["rotation"]["num"], c["rotation"]["den"]))
+        for c in obj["components"]))
+    assert obj["parity"] == desc.parity
+    return desc
+
+
 class TestBuildDescriptor:
     def test_parity_cat(self):
         desc = build_descriptor(CoprimeFraction(1, 2))
@@ -52,6 +71,7 @@ class TestBuildDescriptor:
 
     def test_triangular(self):
         desc = build_descriptor(CoprimeFraction(1, 3))
+        assert desc.parity == "odd"
         assert _phases(desc) == [(11, 6), (11, 6), (1, 2)]
         assert _rotations(desc) == [(0, 1), (2, 3), (4, 3)]
 
@@ -92,7 +112,7 @@ class TestGoldenTable:
         assert _phases(table[CoprimeFraction(3, 5)]) == [(2, 5), (8, 5), (8, 5), (2, 5), (0, 1)]
         # the bare -1 coefficient of the fourth pentagonal state sits at rotation 4*pi/5
         state45 = table[CoprimeFraction(4, 5)]
-        assert state45.components[2].coefficient == ExactCoefficient(1, 5, RationalAngle(1, 1))
+        assert state45.components[2].coefficient == ExactCoefficient(5, RationalAngle(1, 1))
         assert state45.components[2].rotation == RationalAngle(4, 5)
 
 
@@ -100,7 +120,7 @@ class TestInverseDft:
     def test_matches_closed_for_parity_cat(self):
         f = CoprimeFraction(1, 2)
         got = coefficients_by_inverse_dft(f)[0]
-        want = build_descriptor(f).coefficient_values()
+        want = _values(build_descriptor(f))
         assert np.abs(got - want).max() < 1e-12
 
     def test_matches_reference_pentagonal_state(self):
@@ -134,7 +154,7 @@ class TestInverseDft:
     @given(coprime_fractions_st())
     def test_matches_closed_route(self, f):
         got = coefficients_by_inverse_dft(f)[0]
-        want = build_descriptor(f).coefficient_values()
+        want = _values(build_descriptor(f))
         assert np.abs(got - want).max() < 1e-12
 
 
@@ -204,44 +224,36 @@ class TestDescriptorValidation:
         f = CoprimeFraction(1, 3)
         good = build_descriptor(f)
         with pytest.raises(ValueError):
-            KittenDescriptor(f, "odd", good.components[:2])
-
-    def test_wrong_parity_label(self):
-        f = CoprimeFraction(1, 3)
-        good = build_descriptor(f)
-        with pytest.raises(ValueError):
-            KittenDescriptor(f, "even", good.components)
+            KittenDescriptor(f, good.components[:2])
 
     def test_duplicate_rotations_rejected(self):
         f = CoprimeFraction(1, 2)
-        c = ExactCoefficient(1, 2, RationalAngle(0, 1))
-        components = (KittenComponent(0, c, RationalAngle(1, 2)),
-                      KittenComponent(1, c, RationalAngle(1, 2)))
+        c = ExactCoefficient(2, RationalAngle(0, 1))
+        components = (KittenComponent(c, RationalAngle(1, 2)),
+                      KittenComponent(c, RationalAngle(1, 2)))
         with pytest.raises(ValueError):
-            KittenDescriptor(f, "even", components)
+            KittenDescriptor(f, components)
 
     def test_wrong_magnitude_rejected(self):
         f = CoprimeFraction(1, 2)
-        c = ExactCoefficient(1, 3, RationalAngle(0, 1))
-        components = (KittenComponent(0, c, RationalAngle(1, 2)),
-                      KittenComponent(1, c, RationalAngle(3, 2)))
+        c = ExactCoefficient(3, RationalAngle(0, 1))
+        components = (KittenComponent(c, RationalAngle(1, 2)),
+                      KittenComponent(c, RationalAngle(3, 2)))
         with pytest.raises(ValueError):
-            KittenDescriptor(f, "even", components)
+            KittenDescriptor(f, components)
 
 
 class TestJsonRoundTrip:
     @pytest.mark.parametrize("m, n", [(1, 2), (1, 3), (3, 4), (4, 5), (5, 12)])
     def test_round_trip_is_identity(self, m, n):
         desc = build_descriptor(CoprimeFraction(m, n))
-        assert descriptor_from_json(descriptor_to_json(desc)) == desc
+        assert _parse_descriptor(descriptor_to_json(desc)) == desc
 
     def test_parse_then_reemit_is_textually_identity(self):
         text = descriptor_to_json(build_descriptor(CoprimeFraction(2, 7)))
-        assert descriptor_to_json(descriptor_from_json(text)) == text
+        assert descriptor_to_json(_parse_descriptor(text)) == text
 
     def test_schema_fields(self):
-        import json
-
         obj = json.loads(descriptor_to_json(build_descriptor(CoprimeFraction(1, 2))))
         assert obj["M"] == 1 and obj["N"] == 2 and obj["parity"] == "even"
         first = obj["components"][0]

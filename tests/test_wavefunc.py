@@ -275,3 +275,14 @@ class TestGeneqResidual:
 
     def test_quarter_rotation(self):
         assert geneq_residual(1.0, CoprimeFraction(1, 4), STANDARD_GRID, 64) < 1e-5
+
+    def test_one_series_and_one_basis_serve_both_sides(self, monkeypatch):
+        calls = {"kitten_vector_series": [], "hermite_basis": []}
+        for name, log in calls.items():
+            def counted(*args, _original=getattr(wavefunc, name), _log=log):
+                _log.append(args)
+                return _original(*args)
+            monkeypatch.setattr(wavefunc, name, counted)
+        assert geneq_residual(1.0, CoprimeFraction(1, 4), STANDARD_GRID, 64) < 1e-5
+        assert len(calls["kitten_vector_series"]) == 1
+        assert [n_max for n_max, _ in calls["hermite_basis"]] == [63]
