@@ -12,7 +12,6 @@ Usage:
 
 import argparse
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,30 +24,23 @@ POINT_COUNTS = (51, 75, 101, 151, 201, 401, 801, 2001)
 ALPHA = 1.0  # amplitude of the round-trip coherent wavefunction
 
 
-@dataclass
-class SweepConfig:
-    phi: float = 2.0 * math.pi / 5.0
-    n_max: int = 10
-
-
-def round_trip_error(cfg: SweepConfig, grid: GridSpec) -> float:
+def round_trip_error(grid: GridSpec, phi: float) -> float:
     sample = WaveSample(grid, psi_coherent(ALPHA, grid.x()))
-    back = frac_fourier(frac_fourier(sample, cfg.phi), -cfg.phi)
+    back = frac_fourier(frac_fourier(sample, phi), -phi)
     return float(np.abs(back.values - sample.values).max())
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--phi", type=float, default=SweepConfig.phi)
-    parser.add_argument("--n-max", type=int, default=SweepConfig.n_max)
+    parser.add_argument("--phi", type=float, default=2.0 * math.pi / 5.0)
+    parser.add_argument("--n-max", type=int, default=10)
     args = parser.parse_args()
-    cfg = SweepConfig(phi=args.phi, n_max=args.n_max)
 
     print("points,spacing,spectral_error,round_trip_error")
     for points in POINT_COUNTS:
         grid = GridSpec(HALF_WIDTH, points)
-        print(f"{points},{grid.spacing:.6g},{spectral_error(grid, cfg.phi, cfg.n_max):.6e},"
-              f"{round_trip_error(cfg, grid):.6e}")
+        print(f"{points},{grid.spacing:.6g},{spectral_error(grid, args.phi, args.n_max):.6e},"
+              f"{round_trip_error(grid, args.phi):.6e}")
 
 
 if __name__ == "__main__":

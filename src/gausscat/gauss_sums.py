@@ -261,8 +261,8 @@ def _quadratic_numerators(fractions: tuple[CoprimeFraction, ...]) -> tuple[int, 
     return n, m * j * (j if n % 2 == 0 else j - 1) % (2 * n)
 
 
-# Table entries per block of output indices k (``_k_blocks``) in the O(N^2)
-# routes, so that a call holds O(2^20 + phi(N)*N) values whatever N is; N <= 1024
+# Cross-term entries per block of output indices k (``_k_blocks``) in the direct
+# route, so that a call holds O(2^20 + phi(N)*N) values whatever N is; N <= 1024
 # takes one block.
 _BLOCK_ENTRIES = 1 << 20
 

@@ -8,9 +8,9 @@ are alpha rotated by
     2*pi*k/N + pi*M/N     (N even)
 
 for k = 0 .. N-1, with coefficients given by the closed-form Gauss sums.
-The same coefficients are recovered here by an independent O(N^2) inverse
-discrete Fourier transform of the quadratic phase sequence, and the forward
-transform identity can be checked for any candidate coefficient list.
+The same coefficients are recovered here by an independent inverse discrete
+Fourier transform of the quadratic phase sequence (numpy's FFT), and the
+forward transform identity can be checked for any candidate coefficient list.
 
 A small table of hand-derived reference states (N = 2, 3, 4, 5) is kept
 as golden data; ``build_descriptor`` must reproduce it exactly at the
@@ -29,7 +29,6 @@ from .gauss_sums import (
     CoprimeFraction,
     ExactCoefficient,
     RationalAngle,
-    _k_blocks,
     _quadratic_numerators,
     closed_coefficients,
     unit_phase,
@@ -98,22 +97,11 @@ def build_descriptor(f: CoprimeFraction) -> KittenDescriptor:
                                      for k in range(f.N)))
 
 
-def _dft_tables(fractions: tuple[CoprimeFraction, ...]) -> tuple[int, np.ndarray, np.ndarray]:
-    """N, the target phases exp(-i*pi*q/N) of the quadratic numerators q, one row per
-    fraction, and the twiddle row exp(-2*pi*i*l/N), l = 0 .. N-1, from one table of roots."""
+def _targets(fractions: tuple[CoprimeFraction, ...]) -> tuple[int, np.ndarray]:
+    """N and the target phases exp(-i*pi*q/N) of the quadratic numerators q, one row
+    per fraction, gathered from one table of the 2N-th roots of unity."""
     n, quad = _quadratic_numerators(fractions)
-    roots = unit_phase(np.arange(2 * n), n)
-    return n, roots[-quad % (2 * n)], roots[::2].conj()
-
-
-def _dft_rows(twiddle: np.ndarray, block: slice) -> np.ndarray:
-    """Rows k in ``block`` of the inverse-DFT matrix exp(-2*pi*i*k*l/N), gathered
-    from the twiddle row at the exact indices k*l mod N."""
-    n = len(twiddle)
-    k = np.arange(block.start, block.stop, dtype=np.int64)
-    kl = np.outer(k, np.arange(n, dtype=np.int64))
-    kl %= n  # in place: one block-sized index table
-    return twiddle[kl]
+    return n, unit_phase(np.arange(2 * n), n)[-quad % (2 * n)]
 
 
 def coefficients_by_inverse_dft(*fractions: CoprimeFraction) -> np.ndarray:
@@ -121,13 +109,12 @@ def coefficients_by_inverse_dft(*fractions: CoprimeFraction) -> np.ndarray:
     the target phases t_j = exp(-i*pi*M*j^2/N) (N even) or exp(-i*pi*M*j*(j-1)/N)
     (N odd): one row per fraction, for fractions of one denominator N.
 
-    Deliberately the naive O(N^2) transform with target and twiddle kept as
-    separate complex factors; this is an independent cross-check of both the
-    direct summation and the closed forms.  Each block of output indices k
-    (``_k_blocks``) is one matrix product over all rows.
+    numpy's FFT of each row, with its float twiddles kept as separate factors
+    from the targets; this is an independent cross-check of both the direct
+    summation (exact integer exponents) and the closed forms.
     """
-    n, targets, twiddle = _dft_tables(fractions)
-    return np.hstack([targets @ _dft_rows(twiddle, block).T for block in _k_blocks(n)]) / n
+    n, targets = _targets(fractions)
+    return np.fft.fft(targets, axis=1) / n
 
 
 def verify_forward_dft(*fractions: CoprimeFraction, coefficients: np.ndarray) -> np.ndarray:
@@ -136,19 +123,13 @@ def verify_forward_dft(*fractions: CoprimeFraction, coefficients: np.ndarray) ->
 
     Zero (up to rounding) exactly when the coefficient row solves the
     defining linear system; a perturbed row produces an O(1) error.  The
-    forward matrix is built one block of indices j at a time.
+    forward sums are N times numpy's inverse FFT of each row.
     """
-    n, targets, twiddle = _dft_tables(fractions)
+    n, targets = _targets(fractions)
     c = np.asarray(coefficients, dtype=complex)
     if c.shape != (len(fractions), n):
         raise ValueError(f"expected {len(fractions)} rows of {n} values, got {c.shape}")
-
-    def block_residual(block: slice) -> np.ndarray:
-        forward = _dft_rows(twiddle, block)
-        return np.abs(c @ np.conj(forward, out=forward).T  # no block-sized copy
-                      - targets[:, block]).max(axis=1)
-
-    return np.max([block_residual(block) for block in _k_blocks(n)], axis=0)
+    return np.abs(n * np.fft.ifft(c, axis=1) - targets).max(axis=1)
 
 
 # pentagonal rotations: 1, e^{2 pi i/5}, ..., e^{8 pi i/5}

@@ -65,8 +65,8 @@ class GridSpec:
     points: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.half_width < math.inf:
-            raise ValueError("half_width must be positive and finite")
+        if not 0 < 2.0 * self.half_width < math.inf:
+            raise ValueError("half_width must be positive, with a finite span 2*half_width")
         if self.points < 3 or self.points % 2 == 0:
             raise ValueError("points must be an odd integer >= 3")
 

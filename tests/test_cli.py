@@ -180,6 +180,8 @@ class TestWavefunction:
         (("wavefunction", "1", "2", "--alpha", "40,0", "--dim", "1900",
           "--grid-half-width", "80", "--grid-points", "801"), "--alpha"),
         (("evolve", "1", "3", "--alpha", "40,0", "--dim", "1900"), "--alpha"),
+        (("wavefunction", "1", "2", "--grid-half-width", "1e308", "--grid-points", "5",
+          "--format", "json"), "--grid-half-width"),
     ])
     def test_bad_input_is_usage_error_naming_the_flag(self, capsys, args, flag):
         with pytest.raises(SystemExit) as exc:

@@ -410,16 +410,17 @@ def test_every_route_rejects_mixed_or_no_denominator(route):
 
 def _dense_dft(n):
     """The whole N x N inverse-DFT matrix exp(-2*pi*i*k*l/N): the dense
-    formula that the blocked routes must reproduce."""
+    formula that the FFT routes must reproduce."""
     ell = np.arange(n, dtype=np.int64)
     return unit_phase(2 * (np.outer(ell, ell) % n), n).conj()
 
 
 @pytest.mark.parametrize("m, n, blocks", [(1, 1031, 2), (3, 2048, 4), (2, 1725, 3)])
 class TestMultiBlockRoutes:
-    """Above N = 1024 the O(N^2) routes take several blocks of output indices k
-    (the last one short at 1031 and 1725); each must equal its dense formula
-    bit for bit."""
+    """Above N = 1024 the direct route takes several blocks of output indices k
+    (the last one short at 1031 and 1725) and must equal its dense formula bit
+    for bit; the FFT routes (a prime, a power of two and a composite N) must
+    equal theirs to within 1e-15."""
 
     def test_block_count(self, m, n, blocks):
         slices = list(_k_blocks(n))
@@ -434,7 +435,8 @@ class TestMultiBlockRoutes:
         f = CoprimeFraction(m, n)
         _, quad = _quadratic_numerators((f,))
         targets = unit_phase(-quad, n)
-        assert np.array_equal(coefficients_by_inverse_dft(f), (targets @ _dense_dft(n).T) / n)
+        want = (targets @ _dense_dft(n).T) / n
+        assert np.abs(coefficients_by_inverse_dft(f) - want).max() <= 1e-15
 
     def test_forward_dft(self, m, n, blocks):
         f = CoprimeFraction(m, n)
@@ -442,14 +444,14 @@ class TestMultiBlockRoutes:
         targets = unit_phase(-quad, n)
         c = direct_coefficients(f)
         want = np.abs(c @ _dense_dft(n).conj().T - targets).max(axis=1)
-        assert np.array_equal(verify_forward_dft(f, coefficients=c), want)
-        c[0, -1] += 0.1  # a fault in the last block's coefficient shows at every j
+        assert np.abs(verify_forward_dft(f, coefficients=c) - want).max() <= 1e-15
+        c[0, -1] += 0.1  # a fault in the last coefficient shows at every j
         assert verify_forward_dft(f, coefficients=c)[0] >= 0.05
 
 
 def test_rows_of_one_denominator_across_blocks():
     # several fractions and several blocks: the direct rows are the single-call
-    # rows exactly; the inverse-DFT matrix product may round its columns differently
+    # rows exactly; the inverse-DFT rows to within rounding
     fractions = [CoprimeFraction(m, 1155) for m in range(1, 40) if math.gcd(m, 1155) == 1]
     direct = direct_coefficients(*fractions)
     idft = coefficients_by_inverse_dft(*fractions)
@@ -463,6 +465,16 @@ def _coeffs_json_2001():
         assert cli.main(["coeffs", "1", "2001", "--format", "json"]) == 0
 
 
+def _traced_peak(call):
+    """Peak traced allocation, in bytes, of one call at N = 2003."""
+    tracemalloc.start()
+    try:
+        call(CoprimeFraction(1, 2003))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("call", [
     direct_coefficients,
     coefficients_by_inverse_dft,
@@ -472,14 +484,16 @@ def _coeffs_json_2001():
 def test_one_call_stays_within_48_mb(call):
     # whole N x N tables at N = 2003 take 92-123 MB of traced allocations;
     # blocks of about 2^20 entries take about 32 MB whatever N is
-    f = CoprimeFraction(1, 2003)
-    tracemalloc.start()
-    try:
-        call(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 48 * 2**20
+    assert _traced_peak(call) < 48 * 2**20
+
+
+@pytest.mark.parametrize("call", [
+    coefficients_by_inverse_dft,
+    lambda f: verify_forward_dft(f, coefficients=np.ones((1, f.N), dtype=complex)),
+], ids=["inverse-dft", "forward-dft"])
+def test_one_dft_call_stays_within_2_mb(call):
+    # an FFT holds a few rows of N complex numbers, about 0.2 MB at N = 2003
+    assert _traced_peak(call) <= 2 * 2**20
 
 
 class TestAlternatingSum:

@@ -39,7 +39,7 @@ class TestGridSpec:
         assert np.array_equal(grid.x(), [-2.0, -1.0, 0.0, 1.0, 2.0])
 
     @pytest.mark.parametrize("hw, points", [(0.0, 5), (-1.0, 5), (2.0, 4), (2.0, 1),
-                                            (math.nan, 5), (math.inf, 5)])
+                                            (math.nan, 5), (math.inf, 5), (1e308, 5)])
     def test_invalid_rejected(self, hw, points):
         with pytest.raises(ValueError):
             GridSpec(hw, points)
