@@ -12,8 +12,9 @@ d = M^{-1} mod N collapses each sum to a single root of unity of magnitude
 module provides the integer number theory (modular inverse, Jacobi symbol),
 an exact carrier for rational multiples of pi, the one primitive that turns
 integer phase numerators into roots of unity, and two of the three
-coefficient routes: plain summation and the closed forms (the third, the
-inverse DFT, is in :mod:`gausscat.superposition`).
+coefficient routes: plain summation and the closed forms, one integer phase
+table per N with at most 8N distinct values (the inverse DFT is in
+:mod:`gausscat.superposition`).
 
 Every phase that is known exactly is kept as a reduced rational multiple
 of pi (:class:`RationalAngle`) and converted to a complex number only at
@@ -195,9 +196,9 @@ def unit_phase(nums: np.typing.ArrayLike, den: int) -> np.ndarray:
     return np.exp(1j * np.pi * nums / den)
 
 
-def _closed_numerators(f: CoprimeFraction) -> np.ndarray:
-    """Phase numerators over 4N, reduced mod 8N, of all N closed-form
-    coefficients: c_k = exp(i*pi*num_k/(4N)) / sqrt(N).
+def _closed_numerators(*fractions: CoprimeFraction) -> np.ndarray:
+    """Phase numerators over 4N, reduced mod 8N, of the closed forms c_k =
+    exp(i*pi*num_k/(4N)) / sqrt(N): one row of N per fraction of one N.
 
     Completing the square with d = M^{-1} mod N leaves, with j the shifted
     index and the Jacobi sign (N/M) or (M/N) folded in as a half turn:
@@ -211,20 +212,16 @@ def _closed_numerators(f: CoprimeFraction) -> np.ndarray:
     on d j mod 2N), and its square mod 2N again, so every intermediate stays
     below 10 N^2 and int64 is exact for N up to about 10^9.
     """
-    m, n = f.M, f.N
-    d = mod_inverse(m, n)
-    k = np.arange(n, dtype=np.int64)
-    if f.n_even:
-        sign0, j, base = jacobi_symbol(n, m), k, -m * n
-    else:
-        sign0, base = jacobi_symbol(m, n), n * (n - 1)
-        j = k - m // 2 if m % 2 == 0 else k + (n - m) // 2
-    dj = (d * j) % (2 * n)
-    num = 4 * m * (dj * dj % (2 * n)) + base
-    if sign0 == -1:
-        num += 4 * n
-    if not f.n_even and m % 2 == 1:
-        num += 4 * n * (dj % 2)
+    n = _one_denominator(fractions)
+    m = np.array([f.M for f in fractions], dtype=np.int64)[:, None]
+    d = np.array([mod_inverse(f.M, n) for f in fractions], dtype=np.int64)[:, None]
+    half_turn = np.array([(jacobi_symbol(f.M, n) if n % 2 else jacobi_symbol(n, f.M)) == -1
+                          for f in fractions])[:, None]
+    shift = np.where(m % 2 == 0, -(m // 2), (n - m) // 2) if n % 2 else 0
+    dj = d * (np.arange(n, dtype=np.int64) + shift) % (2 * n)
+    num = 4 * m * (dj * dj % (2 * n)) + ((n * (n - 1) if n % 2 else -m * n) + 4 * n * half_turn)
+    if n % 2:
+        num += 4 * n * (m % 2) * (dj & 1)
     return num % (8 * n)
 
 
@@ -235,21 +232,26 @@ def _one_denominator(fractions: tuple[CoprimeFraction, ...]) -> int:
     return dens.pop()
 
 
+def _closed_distinct(*fractions: CoprimeFraction) -> tuple[list[ExactCoefficient], np.ndarray]:
+    """The distinct closed forms of fractions of one N, and the index ``at``: c_k of
+    fraction r is ``shared[at[r, k]]``.  Counting over [0, 8N) needs no sort."""
+    table = _closed_numerators(*fractions)
+    n, present = table.shape[1], np.bincount(table.ravel()) > 0
+    shared = [ExactCoefficient(n, RationalAngle(v, 4 * n)) for v in np.flatnonzero(present).tolist()]
+    return shared, (np.cumsum(present) - 1)[table]
+
+
 def closed_coefficients(*fractions: CoprimeFraction) -> list[ExactCoefficient]:
     """All N closed-form coefficients c_0 .. c_{N-1} of each fraction as exact
     values, for fractions of one denominator N: one flat list, in which
     fraction r holds items r*N .. r*N + N - 1.
 
-    The phase arithmetic is exact: the quarter-integer terms N/4 and
-    (N-1)/4 are carried over the common denominator 4N and reduced as
-    integers.  Within one call equal coefficients are one frozen object
-    (there are only 8N distinct values); nothing is kept between calls.
+    It is a view of one (len(fractions), N) numerator table, exact: the
+    quarter-integer terms N/4 and (N-1)/4 are carried over 4N as integers.
+    Equal values are one frozen object per call; nothing is kept between calls.
     """
-    n = _one_denominator(fractions)
-    nums, at = np.unique(np.concatenate([_closed_numerators(f) for f in fractions]),
-                         return_inverse=True)
-    shared = [ExactCoefficient(n, RationalAngle(num, 4 * n)) for num in nums.tolist()]
-    return np.array(shared, dtype=object)[at].tolist()
+    shared, at = _closed_distinct(*fractions)
+    return np.array(shared, dtype=object)[at].ravel().tolist()
 
 
 def _quadratic_numerators(fractions: tuple[CoprimeFraction, ...]) -> tuple[int, np.ndarray]:

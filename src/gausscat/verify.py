@@ -23,7 +23,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import fock, wavefunc
-from .gauss_sums import CoprimeFraction, closed_coefficients, direct_coefficients
+# closed_coefficients is not called here: perfbench/selftest.py's rebinding list needs it bound
+from .gauss_sums import CoprimeFraction, _closed_distinct, closed_coefficients, direct_coefficients
 from .superposition import (
     build_descriptor,
     coefficients_by_inverse_dft,
@@ -136,14 +137,12 @@ def check_golden_states() -> CheckResult:
 
 
 def _route_residuals(fractions: list[CoprimeFraction]) -> np.ndarray:
-    shape = (len(fractions), fractions[0].N)
-    closed = closed_coefficients(*fractions)
-    values = np.array([c.value for c in closed]).reshape(shape)
-    inv_sqrt_n = np.array([c.inv_sqrt_n for c in closed]).reshape(shape)
+    shared, at = _closed_distinct(*fractions)
+    values = np.array([c.value for c in shared])[at]
     return np.column_stack([
         np.abs(values - direct_coefficients(*fractions)).max(axis=1),
         np.abs(values - coefficients_by_inverse_dft(*fractions)).max(axis=1),
-        (inv_sqrt_n != shape[1]).sum(axis=1),
+        (np.array([c.inv_sqrt_n for c in shared])[at] != fractions[0].N).sum(axis=1),
         verify_forward_dft(*fractions, coefficients=values)])
 
 

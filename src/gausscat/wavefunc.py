@@ -105,11 +105,12 @@ def hermite_basis(n_max: int, x: np.ndarray) -> np.ndarray:
 
     Uses the normalized recurrence
         psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1}
-    so no factorials or large polynomial values ever appear.
+    so no factorials or large polynomial values ever appear.  psi_0 is 0.0
+    beyond |x| ~ 38.6, so it is evaluated on min(|x|, 40), where x^2 cannot overflow.
     """
     x = np.asarray(x, dtype=float)
     basis = np.zeros((n_max + 1, x.size))
-    basis[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    basis[0] = math.pi ** -0.25 * np.exp(-0.5 * np.minimum(np.abs(x), 40.0) ** 2)
     if n_max >= 1:
         basis[1] = math.sqrt(2.0) * x * basis[0]
     for n in range(1, n_max):

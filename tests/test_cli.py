@@ -136,6 +136,16 @@ class TestWavefunction:
         assert "0.99999539663435699" in lines[1] and "1e-06" in lines[1]
         assert "Fock tail beyond --dim" in lines[1]
 
+    def test_astronomical_grid_warns_only_norm_drift(self, capsys):
+        # x*x overflows for |x| above ~1.3e154; psi_0 there is exactly 0 all the same
+        code, out, err = run_cli(capsys, "wavefunction", "1", "2", "--grid-half-width",
+                                 "8.98e307", "--grid-points", "5", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["abs2"] == [0.0, 0.0, 0.5641895835477565, 0.0, 0.0]
+        lines = err.splitlines()
+        assert lines[0].startswith("# trapezoid norm = ")
+        assert len(lines) == 2 and lines[1].startswith("norm-drift: ")
+
     def test_default_grid_at_alpha_five_is_silent(self, capsys):
         code, _, err = run_cli(capsys, "wavefunction", "1", "3", "--alpha", "5,0",
                                "--dim", "128")
@@ -238,11 +248,11 @@ def _flip_odd_odd_sign(monkeypatch):
 
     original = gs._closed_numerators
 
-    def mutated(f):
-        nums = original(f)
-        if f.N % 2 == 1 and f.M % 2 == 1:
-            return (nums + 4 * f.N) % (8 * f.N)
-        return nums
+    def mutated(*fractions):
+        nums = original(*fractions)
+        n = fractions[0].N
+        odd_odd = np.array([n % 2 == 1 and f.M % 2 == 1 for f in fractions])
+        return (nums + 4 * n * odd_odd[:, None]) % (8 * n)
 
     monkeypatch.setattr(gs, "_closed_numerators", mutated)
 

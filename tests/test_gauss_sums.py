@@ -267,6 +267,12 @@ def _closed_reference(m, n):
     return out
 
 
+def _jacobi_of(m, n):
+    """The Jacobi sign that the closed form of M/N folds in: (N/M) for N even,
+    (M/N) for N odd."""
+    return jacobi_symbol(n, m) if n % 2 == 0 else jacobi_symbol(m, n)
+
+
 def _direct_modulo_reference(f):
     """The direct sum as first vectorized: exponents reduced mod 2N once more
     after adding the quadratic and cross terms, and one period of roots."""
@@ -392,10 +398,20 @@ class TestClosedRoute:
     ])
     def test_int64_numerators_match_python_integers(self, m, n):
         # 4*M*(d*k)^2 alone would overflow int64 near N = 5,000 without the
-        # mod-2N reduction of d*k; compare every k against unbounded integers
-        f = CoprimeFraction(m, n)
-        got = _closed_numerators(f).tolist()
-        assert got == _closed_reference(m, n)
+        # mod-2N reduction of d*k; compare every k against unbounded integers,
+        # in one call with a partner of the other Jacobi sign and, for odd N,
+        # the other parity of M, so that every row takes its own branch
+        partner = next(p for p in range(1, n) if math.gcd(p, n) == 1
+                       and _jacobi_of(p, n) != _jacobi_of(m, n) and (n % 2 == 0 or p % 2 != m % 2))
+        got = _closed_numerators(CoprimeFraction(m, n), CoprimeFraction(partner, n)).tolist()
+        assert got == [_closed_reference(m, n), _closed_reference(partner, n)]
+
+    def test_batched_rows_match_python_integers(self):
+        for n in range(2, 61):
+            ms = [m for m in range(1, n) if math.gcd(m, n) == 1]
+            got = _closed_numerators(*(CoprimeFraction(m, n) for m in ms))
+            assert got.shape == (len(ms), n) and got.dtype == np.int64
+            assert got.tolist() == [_closed_reference(m, n) for m in ms], n
 
 
 @pytest.mark.parametrize("route", [

@@ -81,23 +81,29 @@ class TestNanFails:
         assert results["closed-vs-inverse-dft"].passed
 
 
+def _plant_closed(original, target, k, wrong):
+    """Wrap ``_closed_distinct`` so that coefficient k of ``target`` alone
+    becomes wrong(c): one more shared object, and one index pointed at it
+    (the old object stays shared by the other coefficients with its value)."""
+    def planted(*fractions):
+        shared, at = original(*fractions)
+        if target in fractions:
+            row = fractions.index(target)
+            shared.append(wrong(shared[at[row, k]]))
+            at[row, k] = len(shared) - 1
+        return shared, at
+    return planted
+
+
 class TestWrongClosedValueFails:
     def test_one_phase_beyond_the_golden_table(self, monkeypatch):
-        # the closed values are shared within one call; a wrong one in the
-        # list the sweep gets must still turn the check red
-        target = CoprimeFraction(7, 101)
-        original = verify.closed_coefficients
+        # the closed values are shared within one call; a wrong one among
+        # those the sweep reads must still turn the check red
+        def wrong(c):
+            return dataclasses.replace(c, phase=RationalAngle(c.phase.num + 1, c.phase.den))
 
-        def planted(*fractions):
-            coeffs = original(*fractions)
-            if target in fractions:
-                at = fractions.index(target) * target.N + 3
-                c = coeffs[at]
-                coeffs[at] = dataclasses.replace(
-                    c, phase=RationalAngle(c.phase.num + 1, c.phase.den))
-            return coeffs
-
-        monkeypatch.setattr(verify, "closed_coefficients", planted)
+        planted = _plant_closed(verify._closed_distinct, CoprimeFraction(7, 101), 3, wrong)
+        monkeypatch.setattr(verify, "_closed_distinct", planted)
         results = {r.name: r for r in run_checks(VerifyConfig(coeff_n_max=101), ["gauss"])}
         assert not results["closed-vs-direct"].passed
         assert results["closed-magnitude-exact"].passed
@@ -140,15 +146,10 @@ class TestRouteFaultsFail:
         target = CoprimeFraction(5, 11)
 
         def planted(original):
-            def closed(*fractions):
-                coeffs = original(*fractions)
-                if target in fractions:
-                    at = fractions.index(target) * target.N + 3
-                    coeffs[at] = dataclasses.replace(coeffs[at], inv_sqrt_n=target.N + 1)
-                return coeffs
-            return closed
+            return _plant_closed(original, target, 3,
+                                 lambda c: dataclasses.replace(c, inv_sqrt_n=target.N + 1))
 
-        results = _gauss_results(monkeypatch, "closed_coefficients", planted)
+        results = _gauss_results(monkeypatch, "_closed_distinct", planted)
         assert results["closed-magnitude-exact"].value == 1.0
         assert not results["closed-magnitude-exact"].passed
         assert results["golden-states-exact"].passed
@@ -282,8 +283,8 @@ class TestValuesEvaluatedOnce:
         # most two per golden coefficient (the reference and the built one)
         cfg = VerifyConfig(coeff_n_max=60)
         distinct = sum(
-            len(set().union(*(gauss_sums._closed_numerators(CoprimeFraction(m, n)).tolist()
-                              for m in range(1, n) if math.gcd(m, n) == 1)))
+            np.unique(gauss_sums._closed_numerators(
+                *(CoprimeFraction(m, n) for m in range(1, n) if math.gcd(m, n) == 1))).size
             for n in range(2, cfg.coeff_n_max + 1))
         golden = sum(2 * f.N for f, _ in superposition.reference_state_table())
         calls = []
@@ -296,6 +297,38 @@ class TestValuesEvaluatedOnce:
         monkeypatch.setattr(RationalAngle, "to_complex", counted)
         assert all(r.passed for r in run_checks(cfg, ["gauss"]))
         assert 0 < len(calls) <= distinct + golden
+
+
+class TestClosedRouteBatched:
+    def test_sweep_builds_no_flat_closed_list(self, monkeypatch):
+        # the sweep reads the closed values through an index; only the golden
+        # descriptors still ask for the flat list of objects
+        original = gauss_sums.closed_coefficients
+        items = []
+
+        def counted(*fractions):
+            out = original(*fractions)
+            items.append(len(out))
+            return out
+
+        for module in (gauss_sums, superposition, verify):
+            monkeypatch.setattr(module, "closed_coefficients", counted)
+        golden = sum(f.N for f, _ in superposition.reference_state_table())
+        assert golden == 36
+        assert all(r.passed for r in run_checks(VerifyConfig(coeff_n_max=60), ["gauss"]))
+        assert 0 < sum(items) <= golden
+
+    @pytest.mark.parametrize("n", [12, 101, 200])
+    def test_indexed_values_match_the_flat_list(self, n):
+        fractions = [CoprimeFraction(m, n) for m in range(1, n) if math.gcd(m, n) == 1]
+        shared, at = verify._closed_distinct(*fractions)
+        flat = gauss_sums.closed_coefficients(*fractions)
+        shape = (len(fractions), n)
+        assert at.shape == shape
+        assert np.array_equal(np.array([c.value for c in shared])[at],
+                              np.array([c.value for c in flat]).reshape(shape))
+        assert np.array_equal(np.array([c.inv_sqrt_n for c in shared])[at],
+                              np.array([c.inv_sqrt_n for c in flat]).reshape(shape))
 
 
 class TestNoCasesFails:
