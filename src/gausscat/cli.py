@@ -4,11 +4,13 @@ Subcommands:
 
     coeffs        coefficient table for M/N by all three routes
     state         superposition descriptor (exact phases and rotations)
-    wavefunction  sampled kitten wavefunction as CSV
+    wavefunction  sampled kitten wavefunction as CSV or JSON
     evolve        fidelity of the time-evolution identity over a time grid
     verify        run the verification suite and report pass/fail
 
 Output is deterministic: the same arguments produce byte-identical output.
+One column writer prints the tables of wavefunction, evolve and coeffs --format
+csv, so their CSV and JSON forms carry the same numbers.
 Exit codes: 0 success, 1 verification/discrepancy failure, 2 usage error.
 """
 
@@ -54,6 +56,18 @@ def _fmt(value: float) -> str:
 
 def _fmt_complex(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}j"
+
+
+def _print_columns(fmt: str, columns: dict, head: dict | None = None,
+                   tail: dict | None = None) -> None:
+    """Print named columns as CSV rows under a header, or as JSON float lists after head."""
+    if fmt == "json":
+        floats = {name: np.asarray(col, dtype=float).tolist() for name, col in columns.items()}
+        print(json.dumps({**(head or {}), **floats, **(tail or {})}))
+        return
+    print(",".join(columns))
+    for row in zip(*(np.asarray(col).tolist() for col in columns.values())):
+        print(",".join(map(_fmt, row)))
 
 
 def _parse_alpha(parser: argparse.ArgumentParser, text: str) -> complex:
@@ -102,16 +116,11 @@ def cmd_coeffs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         }
         print(json.dumps(obj, indent=2))
     elif args.format == "csv":
-        print("k,phase_num,phase_den,inv_sqrt,direct_re,direct_im,"
-              "inverse_dft_re,inverse_dft_im,discrepancy")
-        for k in range(f.N):
-            c = closed[k]
-            print(",".join([
-                str(k), str(c.phase.num), str(c.phase.den), str(c.inv_sqrt_n),
-                _fmt(direct[k].real), _fmt(direct[k].imag),
-                _fmt(idft[k].real), _fmt(idft[k].imag),
-                _fmt(float(discrepancies[k])),
-            ]))
+        num, den, inv_sqrt = zip(*[(c.phase.num, c.phase.den, c.inv_sqrt_n) for c in closed])
+        _print_columns("csv", {"k": range(f.N), "phase_num": num, "phase_den": den,
+                               "inv_sqrt": inv_sqrt, "direct_re": direct.real,
+                               "direct_im": direct.imag, "inverse_dft_re": idft.real,
+                               "inverse_dft_im": idft.imag, "discrepancy": discrepancies})
     else:
         print(f"# coefficients for M/N = {f.M}/{f.N}")
         print(f"{'k':>3}  {'closed form':<18} {'direct':<42} "
@@ -177,24 +186,11 @@ def cmd_wavefunction(parser: argparse.ArgumentParser, args: argparse.Namespace) 
         print(f"norm-drift: trapezoid norm {_fmt(norm)} is off 1 by more than "
               f"{_NORM_DRIFT_BOUND:g}; the grid is too narrow or too coarse, the basis "
               f"underflowed, or the state's Fock tail beyond --dim is cut off", file=sys.stderr)
-    x = grid.x()
     values = sample.values
-    if args.format == "json":
-        obj = {
-            "M": f.M,
-            "N": f.N,
-            "alpha": [alpha.real, alpha.imag],
-            "x": [float(v) for v in x],
-            "re_psi": [float(v) for v in values.real],
-            "im_psi": [float(v) for v in values.imag],
-            "abs2": [float(v) for v in np.abs(values) ** 2],
-            "norm": norm,
-        }
-        print(json.dumps(obj))
-    else:
-        print("x,re_psi,im_psi,abs2")
-        for xi, vi in zip(x, values):
-            print(f"{_fmt(xi)},{_fmt(vi.real)},{_fmt(vi.imag)},{_fmt(abs(vi) ** 2)}")
+    _print_columns(args.format, {"x": grid.x(), "re_psi": values.real, "im_psi": values.imag,
+                                 "abs2": np.abs(values) ** 2},
+                   head={"M": f.M, "N": f.N, "alpha": [alpha.real, alpha.imag]},
+                   tail={"norm": norm})
     return 0
 
 
@@ -203,23 +199,15 @@ def cmd_evolve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     alpha = _alpha_within_guard(parser, args)
     if not math.isfinite(args.t):
         parser.error(f"--t must be finite, got {args.t}")
+    if abs(args.t) * (args.dim - 0.5) > 2.0 ** 40:
+        parser.error(f"--t: |t|*(dim - 1/2) must be at most 2**40, where |1 - fidelity| "
+                     f"reaches ~1e-10; got t = {args.t:g} at dim = {args.dim}")
     if args.t_steps < 2:
         parser.error("--t-steps must be at least 2")
     times = np.linspace(0.0, args.t, args.t_steps)
-    fidelities = evolution_fidelity(alpha, f, times, args.dim)
-    if args.format == "json":
-        obj = {
-            "M": f.M,
-            "N": f.N,
-            "alpha": [alpha.real, alpha.imag],
-            "t": [float(t) for t in times],
-            "fidelity": fidelities,
-        }
-        print(json.dumps(obj))
-    else:
-        print("t,fidelity")
-        for t, fid in zip(times, fidelities):
-            print(f"{_fmt(float(t))},{_fmt(fid)}")
+    _print_columns(args.format, {"t": times,
+                                 "fidelity": evolution_fidelity(alpha, f, times, args.dim)},
+                   head={"M": f.M, "N": f.N, "alpha": [alpha.real, alpha.imag]})
     return 0
 
 

@@ -166,26 +166,21 @@ def aN_identity_residual(f: CoprimeFraction, dim: int) -> float:
 
     Both N-fold products are single-band matrices, so each retained entry
     is an explicit product of one unit phase per step and the shared ladder
-    magnitudes sqrt(i+1)..sqrt(i+N).  The step phases exp(i*phi*(i+m)) are
-    accumulated as exact rationals and exponentiated once per entry; this
-    keeps the residual an exact statement about the phase identity instead
-    of drowning it in rounding noise from entries of size sqrt((i+N)!/i!).
+    magnitudes sqrt(i+1)..sqrt(i+N).  Entry i steps through the rows
+    r = i .. i+N-1 of one integer table, where (U^{-1} a)[r, r+1] =
+    exp(+i*phi*r) * sqrt(r+1); its phase exp(i*pi * 2M*sum(r) / N) is held
+    as an exact rational and exponentiated once per entry.  This keeps the
+    residual an exact statement about the phase identity instead of
+    drowning it in rounding noise from entries of size sqrt((i+N)!/i!).
     Returns the Frobenius norm of the band difference.
     """
     m, n = f.M, f.N
     if dim <= n:
         raise ValueError(f"need dim > N for at least one valid row (dim={dim}, N={n})")
-    mu = mu_factor(f)
-    total = 0.0
-    for i in range(dim - n):
-        phase = RationalAngle(0)
-        mag = 1.0
-        for step in range(n):
-            # (U^{-1} a)[r, r+1] = exp(+i*phi*r) * sqrt(r+1) at row r = i + step
-            phase = phase + RationalAngle(2 * m * (i + step), n)
-            mag *= math.sqrt(i + step + 1)
-        total += abs(phase.to_complex() * mag - mu * mag) ** 2
-    return math.sqrt(total)
+    rows = np.arange(dim - n)[:, None] + np.arange(n)
+    phases = np.array([RationalAngle(2 * m * s, n).to_complex() for s in rows.sum(axis=1).tolist()])
+    mags = np.sqrt(rows + 1.0).prod(axis=1)
+    return float(np.linalg.norm(phases * mags - mu_factor(f) * mags))
 
 
 def _evolved_pairs(alpha: complex, f: CoprimeFraction, times: Iterable[float], dim: int):

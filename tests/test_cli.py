@@ -92,6 +92,35 @@ class TestDeterminism:
         assert first == second
 
 
+class TestCsvJsonParity:
+    @staticmethod
+    def _json_columns(obj, names):
+        if "rows" not in obj:
+            return obj
+        # coeffs: each JSON row flattened in the order of the CSV columns
+        rows = [[r["k"], r["closed"]["phase_num"], r["closed"]["phase_den"],
+                 r["closed"]["inv_sqrt"], *r["direct"], *r["inverse_dft"], r["discrepancy"]]
+                for r in obj["rows"]]
+        return dict(zip(names, zip(*rows)))
+
+    @pytest.mark.parametrize("args", [
+        ("wavefunction", "6", "11", "--alpha=0.042687,-0.12929", "--dim", "64"),
+        ("evolve", "2", "5", "--alpha=1.5,-0.5", "--dim", "64", "--t-steps", "9"),
+        ("coeffs", "3", "7"),
+    ])
+    def test_both_formats_print_bit_equal_floats(self, capsys, args):
+        _, csv_out, _ = run_cli(capsys, *args, "--format", "csv")
+        _, json_out, _ = run_cli(capsys, *args, "--format", "json")
+        header, *lines = csv_out.strip().splitlines()
+        names = header.split(",")
+        csv_columns = zip(*(map(float, line.split(",")) for line in lines))
+        json_columns = self._json_columns(json.loads(json_out), names)
+        assert len(lines) > 1
+        for name, column in zip(names, csv_columns):
+            assert [v.hex() for v in column] == \
+                [float(v).hex() for v in json_columns[name]], name
+
+
 class TestWavefunction:
     def test_csv_matches_closed_form(self, capsys):
         code, out, err = run_cli(capsys, "wavefunction", "1", "2", "--alpha", "1,0",
@@ -192,6 +221,8 @@ class TestWavefunction:
         (("evolve", "1", "3", "--alpha", "40,0", "--dim", "1900"), "--alpha"),
         (("wavefunction", "1", "2", "--grid-half-width", "1e308", "--grid-points", "5",
           "--format", "json"), "--grid-half-width"),
+        (("evolve", "1", "3", "--t", "1e308"), "--t"),
+        (("evolve", "1", "3", "--t", "1e15"), "--t"),
     ])
     def test_bad_input_is_usage_error_naming_the_flag(self, capsys, args, flag):
         with pytest.raises(SystemExit) as exc:

@@ -29,7 +29,7 @@ from gausscat.fock import (
     time_evolution_residual,
     within_truncation_guard,
 )
-from gausscat.gauss_sums import CoprimeFraction, unit_phase
+from gausscat.gauss_sums import CoprimeFraction, RationalAngle, unit_phase
 from gausscat.superposition import build_descriptor
 from gausscat.verify import TOLERANCES
 
@@ -195,6 +195,27 @@ class TestLoweringPowerIdentity:
     @pytest.mark.parametrize("m, n, dim", [(1, 2, 16), (1, 3, 16), (3, 4, 32)])
     def test_small_cases(self, m, n, dim):
         assert aN_identity_residual(CoprimeFraction(m, n), dim) <= 1e-12
+
+    @pytest.mark.parametrize("m, n, dim", [(1, 2, 9), (2, 7, 20), (5, 12, 40)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_matches_the_step_loop(self, monkeypatch, m, n, dim, sign):
+        # reference: the per-step product, phases added as exact rationals; a
+        # negated mu makes the residual 2*|band| instead of exactly zero
+        f = CoprimeFraction(m, n)
+        mu = sign * mu_factor(f)
+        total = 0.0
+        for i in range(dim - n):
+            phase, mag = RationalAngle(0), 1.0
+            for step in range(n):
+                phase = phase + RationalAngle(2 * m * (i + step), n)
+                mag *= math.sqrt(i + step + 1)
+            total += abs(phase.to_complex() * mag - mu * mag) ** 2
+        monkeypatch.setattr(fock, "mu_factor", lambda _: mu)
+        value = aN_identity_residual(f, dim)
+        if sign == 1:
+            assert value == math.sqrt(total) == 0.0
+        else:
+            assert value == pytest.approx(math.sqrt(total), rel=1e-13)
 
     def test_mu_factor(self):
         assert mu_factor(CoprimeFraction(1, 2)) == -1
