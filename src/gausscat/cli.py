@@ -70,26 +70,26 @@ def _print_columns(fmt: str, columns: dict, head: dict | None = None,
         print(",".join(map(_fmt, row)))
 
 
-def _parse_alpha(parser: argparse.ArgumentParser, text: str) -> complex:
+def _parse_alpha(args: argparse.Namespace) -> complex:
     try:
-        re_part, im_part = text.split(",")
+        re_part, im_part = args.alpha.split(",")
         alpha = complex(float(re_part), float(im_part))
     except ValueError:
-        parser.error(f"--alpha expects 're,im', got {text!r}")
+        args.error(f"--alpha expects 're,im', got {args.alpha!r}")
     if not cmath.isfinite(alpha):
-        parser.error(f"--alpha must be finite, got {text!r}")
+        args.error(f"--alpha must be finite, got {args.alpha!r}")
     return alpha
 
 
-def _fraction(parser: argparse.ArgumentParser, args: argparse.Namespace) -> CoprimeFraction:
+def _fraction(args: argparse.Namespace) -> CoprimeFraction:
     try:
         return CoprimeFraction(args.M, args.N)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.error(str(exc))
 
 
-def cmd_coeffs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    f = _fraction(parser, args)
+def cmd_coeffs(args: argparse.Namespace) -> int:
+    f = _fraction(args)
     closed = closed_coefficients(f)
     closed_vals = np.array([c.value for c in closed])
     direct = direct_coefficients(f)[0]
@@ -140,8 +140,8 @@ def _yurke_stoler_view(desc: KittenDescriptor) -> KittenDescriptor:
     return replace(desc, components=components)
 
 
-def cmd_state(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    f = _fraction(parser, args)
+def cmd_state(args: argparse.Namespace) -> int:
+    f = _fraction(args)
     desc = build_descriptor(f)
     if args.yurke_stoler:
         desc = _yurke_stoler_view(desc)
@@ -156,29 +156,28 @@ def cmd_state(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0
 
 
-def _alpha_within_guard(parser: argparse.ArgumentParser,
-                        args: argparse.Namespace) -> complex:
+def _alpha_within_guard(args: argparse.Namespace) -> complex:
     """--alpha, once it is finite and does not underflow the vacuum amplitude,
     and --dim is positive and keeps the coherent-state tail negligible."""
-    alpha = _parse_alpha(parser, args.alpha)
+    alpha = _parse_alpha(args)
     if coherent_underflows(alpha):
-        parser.error(f"--alpha: |alpha|^2 = {abs(alpha) ** 2:.6g} underflows exp(-|alpha|^2/2)")
+        args.error(f"--alpha: |alpha|^2 = {abs(alpha) ** 2:.6g} underflows exp(-|alpha|^2/2)")
     if args.dim < 1:
-        parser.error(f"--dim must be a positive integer, got {args.dim}")
+        args.error(f"--dim must be a positive integer, got {args.dim}")
     if not within_truncation_guard(alpha, args.dim):
-        parser.error(
+        args.error(
             f"|alpha|^2 = {abs(alpha) ** 2:.6g} violates the truncation guard at "
             f"dim = {args.dim}; use --dim {required_dimension(alpha)} or larger")
     return alpha
 
 
-def cmd_wavefunction(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    f = _fraction(parser, args)
-    alpha = _alpha_within_guard(parser, args)
+def cmd_wavefunction(args: argparse.Namespace) -> int:
+    f = _fraction(args)
+    alpha = _alpha_within_guard(args)
     try:
         grid = GridSpec(args.grid_half_width, args.grid_points)
     except ValueError as exc:
-        parser.error(f"--grid-half-width/--grid-points: {exc}")
+        args.error(f"--grid-half-width/--grid-points: {exc}")
     sample = kitten_wave_sample(alpha, f, grid, args.dim)
     norm = sample.norm()
     print(f"# trapezoid norm = {_fmt(norm)}", file=sys.stderr)
@@ -194,16 +193,16 @@ def cmd_wavefunction(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     return 0
 
 
-def cmd_evolve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    f = _fraction(parser, args)
-    alpha = _alpha_within_guard(parser, args)
+def cmd_evolve(args: argparse.Namespace) -> int:
+    f = _fraction(args)
+    alpha = _alpha_within_guard(args)
     if not math.isfinite(args.t):
-        parser.error(f"--t must be finite, got {args.t}")
+        args.error(f"--t must be finite, got {args.t}")
     if abs(args.t) * (args.dim - 0.5) > 2.0 ** 40:
-        parser.error(f"--t: |t|*(dim - 1/2) must be at most 2**40, where |1 - fidelity| "
-                     f"reaches ~1e-10; got t = {args.t:g} at dim = {args.dim}")
+        args.error(f"--t: |t|*(dim - 1/2) must be at most 2**40, where |1 - fidelity| "
+                   f"reaches ~1e-10; got t = {args.t:g} at dim = {args.dim}")
     if args.t_steps < 2:
-        parser.error("--t-steps must be at least 2")
+        args.error("--t-steps must be at least 2")
     times = np.linspace(0.0, args.t, args.t_steps)
     _print_columns(args.format, {"t": times,
                                  "fidelity": evolution_fidelity(alpha, f, times, args.dim)},
@@ -211,11 +210,11 @@ def cmd_evolve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return 0
 
 
-def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     # below 2 the sweep has no fraction M/N to cover, and would pass vacuously
     for flag, value in (("--coeff-nmax", args.coeff_nmax), ("--fock-nmax", args.fock_nmax)):
         if value < 2:
-            parser.error(f"{flag} must be at least 2, got {value}")
+            args.error(f"{flag} must be at least 2, got {value}")
     cfg = VerifyConfig(coeff_n_max=args.coeff_nmax, fock_n_max=args.fock_nmax)
     groups = args.only or None
     results = run_checks(cfg, groups)
@@ -244,7 +243,8 @@ def _add_fraction(p: argparse.ArgumentParser) -> None:
 
 def _add_alpha_dim(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", default="1,0", metavar="RE,IM",
-                   help="coherent amplitude as 're,im' (default 1,0)")
+                   help="coherent amplitude as 're,im' (default 1,0); write a negative "
+                        "one as --alpha=-1,0")
     p.add_argument("--dim", type=int, default=64,
                    help="Fock-space truncation (default 64)")
 
@@ -259,14 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="coefficient table by all three routes")
     _add_fraction(p)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(handler=cmd_coeffs)
+    p.set_defaults(handler=cmd_coeffs, error=p.error)
 
     p = sub.add_parser("state", help="superposition descriptor")
     _add_fraction(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--yurke-stoler", action="store_true", dest="yurke_stoler",
                    help="fold the alpha -> -i*alpha substitution into the rotations")
-    p.set_defaults(handler=cmd_state)
+    p.set_defaults(handler=cmd_state, error=p.error)
 
     p = sub.add_parser("wavefunction", help="sampled wavefunction as CSV")
     _add_fraction(p)
@@ -274,17 +274,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-half-width", type=float, default=12.0)
     p.add_argument("--grid-points", type=int, default=2001)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(handler=cmd_wavefunction)
+    p.set_defaults(handler=cmd_wavefunction, error=p.error)
 
     p = sub.add_parser("evolve", help="time-evolution fidelity series")
     _add_fraction(p)
     _add_alpha_dim(p)
     p.add_argument("--t", type=float, default=2.0 * math.pi,
-                   help="end time of the series (default 2*pi)")
+                   help="end time of the series (default 2*pi); write a negative one "
+                        "as --t=-1e1")
     p.add_argument("--t-steps", type=int, default=49, dest="t_steps",
                    help="number of samples from 0 to t (default 49)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(handler=cmd_evolve)
+    p.set_defaults(handler=cmd_evolve, error=p.error)
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--only", action="append", choices=GROUPS,
@@ -294,16 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fock-nmax", type=int, default=12, dest="fock_nmax",
                    help="Fock sweep bound (default 12)")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=cmd_verify)
+    p.set_defaults(handler=cmd_verify, error=p.error)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(parser, args)
+        return args.handler(args)
     except BrokenPipeError:
         # the consumer of stdout went away (e.g. piped into head);
         # park stdout on devnull so the interpreter can flush at exit

@@ -9,8 +9,9 @@ The checks are grouped by subject so they can be run selectively:
     wavefunc  kernel spectral property, integro-differential residuals,
               closed-form wavefunctions
 
-``run_checks`` returns the results in a fixed order; the CLI renders them
-and the acceptance test suite asserts them one by one.
+Each ``check_*(cfg)`` returns its list of results.  ``run_checks`` runs them
+from one group table, looked up at call time, in a fixed order; the CLI
+renders the results and the acceptance test suite asserts them one by one.
 """
 
 from __future__ import annotations
@@ -129,11 +130,11 @@ def _fock_detail(cfg: VerifyConfig) -> str:
     return f"N <= {cfg.fock_n_max}, dim {cfg.dim}"
 
 
-def check_golden_states() -> CheckResult:
+def check_golden_states(cfg: VerifyConfig) -> list[CheckResult]:
     """Exact rational-phase equality of built descriptors against the
-    hand-derived reference table (zero tolerance)."""
+    fixed hand-derived reference table (zero tolerance); ``cfg`` is unused."""
     rows = ([float(build_descriptor(f) != reference)] for f, reference in reference_state_table())
-    return _sweep("gauss", ["golden-states-exact"], rows, "{cases} reference states")[0]
+    return _sweep("gauss", ["golden-states-exact"], rows, "{cases} reference states")
 
 
 def _route_residuals(fractions: list[CoprimeFraction]) -> np.ndarray:
@@ -159,25 +160,25 @@ def check_coefficient_routes(cfg: VerifyConfig) -> list[CheckResult]:
     return _sweep("gauss", names, blocks, f"{{cases}} fractions, N <= {cfg.coeff_n_max}")
 
 
-def check_eigen_equation(cfg: VerifyConfig) -> CheckResult:
+def check_eigen_equation(cfg: VerifyConfig) -> list[CheckResult]:
     rows = ([fock.eigen_residual(alpha, f, cfg.dim)]
             for f, alpha in product(coprime_fractions(cfg.fock_n_max), cfg.alphas))
-    return _sweep("fock", ["eigen-equation"], rows, _fock_detail(cfg))[0]
+    return _sweep("fock", ["eigen-equation"], rows, _fock_detail(cfg))
 
 
-def check_series_vs_superposition(cfg: VerifyConfig) -> CheckResult:
+def check_series_vs_superposition(cfg: VerifyConfig) -> list[CheckResult]:
     rows = ([np.linalg.norm(fock.kitten_vector_series(alpha, desc.fraction, cfg.dim)
                             - fock.kitten_vector_superposition(alpha, desc, cfg.dim))]
             for desc in map(build_descriptor, coprime_fractions(cfg.fock_n_max))
             for alpha in cfg.alphas)
-    return _sweep("fock", ["series-vs-superposition"], rows, _fock_detail(cfg))[0]
+    return _sweep("fock", ["series-vs-superposition"], rows, _fock_detail(cfg))
 
 
-def check_lowering_power(cfg: VerifyConfig) -> CheckResult:
+def check_lowering_power(cfg: VerifyConfig) -> list[CheckResult]:
     rows = ([fock.aN_identity_residual(f, cfg.power_dim)]
             for f in coprime_fractions(cfg.power_n_max))
     return _sweep("fock", ["lowering-power-identity"], rows,
-                  f"N <= {cfg.power_n_max}, dim {cfg.power_dim}")[0]
+                  f"N <= {cfg.power_n_max}, dim {cfg.power_dim}")
 
 
 def check_kerr(cfg: VerifyConfig) -> list[CheckResult]:
@@ -191,11 +192,11 @@ def check_kerr(cfg: VerifyConfig) -> list[CheckResult]:
             + _sweep("fock", ["kerr-matrix-identity"], matrix, _fock_detail(cfg)))
 
 
-def check_time_evolution(cfg: VerifyConfig) -> CheckResult:
+def check_time_evolution(cfg: VerifyConfig) -> list[CheckResult]:
     rows = ([r] for f, alpha in product(coprime_fractions(cfg.fock_n_max), cfg.alphas)
             for r in fock.time_evolution_residual(alpha, f, TIMES, cfg.dim))
     times = ", ".join(f"{t:g}" for t in TIMES)
-    return _sweep("fock", ["time-evolution"], rows, f"t in {{{times}}}")[0]
+    return _sweep("fock", ["time-evolution"], rows, f"t in {{{times}}}")
 
 
 def spectral_error(grid: GridSpec, phi: float, n_max: int) -> float:
@@ -208,7 +209,7 @@ def spectral_error(grid: GridSpec, phi: float, n_max: int) -> float:
     return float(np.abs(transformed - expected).max())
 
 
-def check_kernel_spectral(cfg: VerifyConfig) -> CheckResult:
+def check_kernel_spectral(cfg: VerifyConfig) -> list[CheckResult]:
     """The program's trapezoid transform (``spectral_error``) must act on psi_n
     as multiplication by exp(-i*phi*n), which pins the kernel's normalization.
     The public frac_fourier is not called here, so a fault in it alone shows in
@@ -216,7 +217,7 @@ def check_kernel_spectral(cfg: VerifyConfig) -> CheckResult:
     rows = ([spectral_error(cfg.grid, phi, cfg.spectral_n_max)] for phi in SPECTRAL_ANGLES)
     angles = ", ".join(f"{p:.4f}" for p in SPECTRAL_ANGLES)
     return _sweep("wavefunc", ["kernel-spectral"], rows,
-                  f"n <= {cfg.spectral_n_max}, phi in {{{angles}}}")[0]
+                  f"n <= {cfg.spectral_n_max}, phi in {{{angles}}}")
 
 
 def check_integro_differential(cfg: VerifyConfig) -> list[CheckResult]:
@@ -254,24 +255,15 @@ def check_cat_wavefunctions(cfg: VerifyConfig) -> list[CheckResult]:
 
 def run_checks(cfg: VerifyConfig | None = None,
                groups: Iterable[str] | None = None) -> list[CheckResult]:
-    """Run every check (or only the requested groups) in a fixed order."""
+    """Run every check (or only the requested groups) in the order of GROUPS.  The
+    table is built at each call, so a check rebound here (by a tracer) is the one run."""
     cfg = cfg or VerifyConfig()
     wanted = set(GROUPS if groups is None else groups)
-    unknown = wanted - set(GROUPS)
-    if unknown:
+    if unknown := wanted - set(GROUPS):
         raise ValueError(f"unknown check groups: {sorted(unknown)}")
-    results: list[CheckResult] = []
-    if "gauss" in wanted:
-        results.append(check_golden_states())
-        results.extend(check_coefficient_routes(cfg))
-    if "fock" in wanted:
-        results.append(check_eigen_equation(cfg))
-        results.append(check_series_vs_superposition(cfg))
-        results.append(check_lowering_power(cfg))
-        results.extend(check_kerr(cfg))
-        results.append(check_time_evolution(cfg))
-    if "wavefunc" in wanted:
-        results.append(check_kernel_spectral(cfg))
-        results.extend(check_integro_differential(cfg))
-        results.extend(check_cat_wavefunctions(cfg))
-    return results
+    table = dict(zip(GROUPS, [
+        [check_golden_states, check_coefficient_routes],
+        [check_eigen_equation, check_series_vs_superposition, check_lowering_power, check_kerr,
+         check_time_evolution],
+        [check_kernel_spectral, check_integro_differential, check_cat_wavefunctions]]))
+    return [r for group in GROUPS if group in wanted for check in table[group] for r in check(cfg)]

@@ -35,9 +35,7 @@ from gausscat.verify import (
 CFG = VerifyConfig()
 
 
-def _assert_and_report(criterion: int, results) -> None:
-    if not isinstance(results, list):
-        results = [results]
+def _assert_and_report(criterion: int, results: list) -> None:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[acceptance] criterion {criterion}: {status} {r.name} "
@@ -54,7 +52,7 @@ def coefficient_sweep():
 
 
 def test_criterion_1_golden_states():
-    _assert_and_report(1, check_golden_states())
+    _assert_and_report(1, check_golden_states(CFG))
 
 
 def test_criterion_2_triple_route_agreement(coefficient_sweep):
@@ -66,7 +64,7 @@ def test_criterion_2_triple_route_agreement(coefficient_sweep):
 
 
 def test_criterion_3_forward_dft_identity(coefficient_sweep):
-    _assert_and_report(3, coefficient_sweep["forward-dft-identity"])
+    _assert_and_report(3, [coefficient_sweep["forward-dft-identity"]])
 
 
 def test_criterion_4_fock_eigen_equation():
@@ -78,10 +76,7 @@ def test_criterion_5_series_vs_superposition():
 
 
 def test_criterion_6_operator_identities():
-    results = [check_lowering_power(CFG)]
-    results.extend(check_kerr(CFG))
-    results.append(check_time_evolution(CFG))
-    _assert_and_report(6, results)
+    _assert_and_report(6, check_lowering_power(CFG) + check_kerr(CFG) + check_time_evolution(CFG))
 
 
 def test_criterion_7_kernel_spectral():

@@ -37,7 +37,11 @@ class TestCoeffs:
         with pytest.raises(SystemExit) as exc:
             main(["coeffs", "2", "4"])
         assert exc.value.code == 2
-        assert "gcd = 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "gcd = 2" in err
+        # the usage line and error prefix are the subcommand's, not the top level's
+        assert err.startswith("usage: gausscat coeffs ")
+        assert "gausscat coeffs: error:" in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", "1", "3", "--format", "csv")
@@ -228,7 +232,10 @@ class TestWavefunction:
         with pytest.raises(SystemExit) as exc:
             main(list(args))
         assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flag in err
+        assert err.startswith(f"usage: gausscat {args[0]} ")
+        assert f"gausscat {args[0]}: error:" in err
 
     def test_alpha_zero_passes_the_guard_at_any_dimension(self, capsys):
         # the vacuum is exact at every dim >= 1, so the guard never fires at alpha = 0

@@ -348,6 +348,30 @@ class TestNoCasesFails:
         assert not any(r.passed for r in results.values())
 
 
+
+class TestReportOrder:
+    """The order of run_checks is the order of gausscat verify's lines: the
+    order of TOLERANCES, group by group as GROUPS lists them."""
+
+    @pytest.fixture(scope="class")
+    def by_group(self):
+        return {group: [r.name for r in run_checks(WAVE_SMALL, [group])]
+                for group in verify.GROUPS}
+
+    def test_full_run_follows_tolerances(self, by_group):
+        names = [r.name for r in run_checks(WAVE_SMALL)]
+        assert names == list(verify.TOLERANCES)
+        assert names == [name for group in verify.GROUPS for name in by_group[group]]
+
+    def test_each_group_keeps_the_order_of_tolerances(self, by_group):
+        for group, names in by_group.items():
+            assert names == [n for n in verify.TOLERANCES if n in names], group
+
+    def test_groups_run_in_the_order_of_groups_not_of_the_request(self):
+        results = run_checks(WAVE_SMALL, ["wavefunc", "gauss"])
+        assert [r.group for r in results] == ["gauss"] * 5 + ["wavefunc"] * 5
+
+
 @pytest.mark.parametrize("module", [gauss_sums, superposition, fock, wavefunc, verify])
 def test_package_exports_every_public_name(module):
     for name in module.__all__:
