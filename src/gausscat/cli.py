@@ -31,6 +31,7 @@ from .fock import (coherent_underflows, evolution_fidelity, required_dimension,
 from .gauss_sums import (
     CoprimeFraction,
     RationalAngle,
+    _coefficient_values,
     closed_coefficients,
     direct_coefficients,
 )
@@ -91,7 +92,7 @@ def _fraction(args: argparse.Namespace) -> CoprimeFraction:
 def cmd_coeffs(args: argparse.Namespace) -> int:
     f = _fraction(args)
     closed = closed_coefficients(f)
-    closed_vals = np.array([c.value for c in closed])
+    closed_vals = _coefficient_values(closed)
     direct = direct_coefficients(f)[0]
     idft = coefficients_by_inverse_dft(f)[0]
     direct_disc, idft_disc = np.abs(closed_vals - direct), np.abs(closed_vals - idft)

@@ -22,8 +22,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .gauss_sums import CoprimeFraction, RationalAngle, unit_phase
-from .superposition import KittenDescriptor
+from .gauss_sums import CoprimeFraction, unit_phase
+from .superposition import KittenDescriptor, _branches
 
 __all__ = [
     "TruncationWarning",
@@ -127,18 +127,22 @@ def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
     return v
 
 
-def kitten_vector_series(alpha: complex, f: CoprimeFraction, dim: int) -> np.ndarray:
-    """Kitten state as a number-basis series: coherent entries times the
-    quadratic phase exp(-i*phi*n*(n-1)/2), phi = 2*pi*M/N."""
+def _series_phases(f: CoprimeFraction, dim: int) -> np.ndarray:
+    """The quadratic phases exp(-i*phi*n*(n-1)/2), phi = 2*pi*M/N, n < dim."""
     n = np.arange(dim, dtype=np.int64)
-    return coherent_vector(alpha, dim) * unit_phase(-f.M * n * (n - 1), f.N)
+    return unit_phase(-f.M * n * (n - 1), f.N)
+
+
+def kitten_vector_series(alpha: complex, f: CoprimeFraction, dim: int) -> np.ndarray:
+    """Kitten state as a number-basis series: coherent entries times ``_series_phases``."""
+    return coherent_vector(alpha, dim) * _series_phases(f, dim)
 
 
 def kitten_vector_superposition(alpha: complex, desc: KittenDescriptor, dim: int) -> np.ndarray:
     """Kitten state as the explicit sum of rotated coherent vectors."""
     v = np.zeros(dim, dtype=complex)
-    for comp in desc.components:
-        v += comp.coefficient.value * coherent_vector(comp.rotation.to_complex() * alpha, dim)
+    for c, beta in _branches(desc, alpha):
+        v += c * coherent_vector(beta, dim)
     return v
 
 
@@ -168,9 +172,9 @@ def aN_identity_residual(f: CoprimeFraction, dim: int) -> float:
     is an explicit product of one unit phase per step and the shared ladder
     magnitudes sqrt(i+1)..sqrt(i+N).  Entry i steps through the rows
     r = i .. i+N-1 of one integer table, where (U^{-1} a)[r, r+1] =
-    exp(+i*phi*r) * sqrt(r+1); its phase exp(i*pi * 2M*sum(r) / N) is held
-    as an exact rational and exponentiated once per entry.  This keeps the
-    residual an exact statement about the phase identity instead of
+    exp(+i*phi*r) * sqrt(r+1); its phase exp(i*pi * 2M*sum(r) / N) is an exact
+    integer numerator, and one ``unit_phase`` call evaluates them all.  This
+    keeps the residual an exact statement about the phase identity instead of
     drowning it in rounding noise from entries of size sqrt((i+N)!/i!).
     Returns the Frobenius norm of the band difference.
     """
@@ -178,18 +182,19 @@ def aN_identity_residual(f: CoprimeFraction, dim: int) -> float:
     if dim <= n:
         raise ValueError(f"need dim > N for at least one valid row (dim={dim}, N={n})")
     rows = np.arange(dim - n)[:, None] + np.arange(n)
-    phases = np.array([RationalAngle(2 * m * s, n).to_complex() for s in rows.sum(axis=1).tolist()])
+    phases = unit_phase(2 * m * rows.sum(axis=1), n)
     mags = np.sqrt(rows + 1.0).prod(axis=1)
     return float(np.linalg.norm(phases * mags - mu_factor(f) * mags))
 
 
 def _evolved_pairs(alpha: complex, f: CoprimeFraction, times: Iterable[float], dim: int):
     """(t, e^{-itL}|kitten(alpha)>, |kitten(e^{-it} alpha)>) per t; equal up to e^{-it/2}."""
-    initial = kitten_vector_series(alpha, f, dim)
+    phases = _series_phases(f, dim)
+    initial = coherent_vector(alpha, dim) * phases
     levels = np.arange(dim) + 0.5
     for t in map(float, times):
         yield (t, np.exp(-1j * t * levels) * initial,
-               kitten_vector_series(cmath.exp(-1j * t) * alpha, f, dim))
+               coherent_vector(cmath.exp(-1j * t) * alpha, dim) * phases)
 
 
 def time_evolution_residual(alpha: complex, f: CoprimeFraction, times: Iterable[float],

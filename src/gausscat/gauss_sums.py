@@ -24,9 +24,8 @@ equalities instead of float comparisons.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -108,17 +107,8 @@ class RationalAngle:
                              self.den * other.den)
 
     def to_complex(self) -> complex:
-        """exp(i*pi*num/den), exact at quarter-turn multiples.
-
-        After reduction den == 1 means the angle is 0 or pi and den == 2
-        means +-pi/2; those four values are returned as exact units so
-        that identities landing on them incur no rounding at all.
-        """
-        if self.den == 1:
-            return 1.0 + 0.0j if self.num == 0 else -1.0 + 0.0j
-        if self.den == 2:
-            return 1.0j if self.num == 1 else -1.0j
-        return cmath.exp(1j * math.pi * self.num / self.den)
+        """exp(i*pi*num/den), bit for bit the scalar view of ``unit_phase``."""
+        return complex(unit_phase(self.num, self.den))
 
     def __str__(self) -> str:
         if self.num == 0:
@@ -161,19 +151,20 @@ class ExactCoefficient:
 
     The phase is a canonical ``RationalAngle``, so a -1 is the phase pi and
     equality of coefficients is plain field equality.  ``inv_sqrt_n``
-    stores the integer n whose inverse square root is the magnitude, and
-    ``value`` the complex number, evaluated once here (not compared).
+    stores the integer n whose inverse square root is the magnitude.
     """
 
     inv_sqrt_n: int
     phase: RationalAngle
-    value: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.inv_sqrt_n < 1:
             raise ValueError("inv_sqrt_n must be a positive integer")
-        object.__setattr__(self, "value",
-                           self.phase.to_complex() / math.sqrt(self.inv_sqrt_n))
+
+    @property
+    def value(self) -> complex:
+        """exp(i*pi*phase) / sqrt(inv_sqrt_n), bit for bit ``_coefficient_values``."""
+        return complex(_coefficient_values([self])[0])
 
     def __str__(self) -> str:
         root = f"√{self.inv_sqrt_n}"
@@ -184,16 +175,30 @@ class ExactCoefficient:
         return f"exp(i·{self.phase})/{root}"
 
 
-def unit_phase(nums: np.typing.ArrayLike, den: int) -> np.ndarray:
-    """exp(i*pi*nums/den) for an array of integer numerators.
+_QUARTER_TURNS = np.array([1, 1j, -1])
 
-    The numerators are reduced mod 2*den as exact integers before the single
-    complex evaluation, so the phase error does not grow with their size.
-    A table of negative angles is the ``.conj()`` of the positive one, which
-    is bit-identical to evaluating exp(-i*pi*nums/den) directly.
+
+def unit_phase(nums: np.typing.ArrayLike, den: np.typing.ArrayLike) -> np.ndarray:
+    """exp(i*pi*nums/den) for integer numerators and denominators that broadcast.
+
+    Exact integer range reduction (Muller, *Elementary Functions*, ch. 11): r = nums
+    mod 2*den, r > den is the conjugate of 2*den - r, and a = min(r, 2*den - r) is
+    the nearest quarter turn q plus theta = (pi/2)*off/den in [-pi/4, pi/4]; the
+    value is exp(i*theta) times i**q, an exact product.  So 1, -1 and +-i are exact,
+    unit_phase(-r, d) == unit_phase(r, d).conj(), and unit_phase(k*r, k*d) == unit_phase(r, d).
     """
-    nums = np.asarray(nums, dtype=np.int64) % (2 * den)
-    return np.exp(1j * np.pi * nums / den)
+    den = np.asarray(den, dtype=np.int64)
+    r = np.asarray(nums, dtype=np.int64) % (2 * den)
+    a = np.minimum(r, 2 * den - r)
+    q = (4 * a + den) // (2 * den)
+    z = np.exp(1j * (np.pi / 2 * ((2 * a - q * den) / den))) * _QUARTER_TURNS[q]
+    return np.where(r > den, z.conj(), z)
+
+
+def _coefficient_values(coeffs: list[ExactCoefficient]) -> np.ndarray:
+    """The complex values of many exact coefficients, by one ``unit_phase`` call."""
+    num, den, inv_sqrt = np.array([(c.phase.num, c.phase.den, c.inv_sqrt_n) for c in coeffs]).T
+    return unit_phase(num, den) / np.sqrt(inv_sqrt)
 
 
 def _closed_numerators(*fractions: CoprimeFraction) -> np.ndarray:

@@ -25,14 +25,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .gauss_sums import (
-    CoprimeFraction,
-    ExactCoefficient,
-    RationalAngle,
-    _quadratic_numerators,
-    closed_coefficients,
-    unit_phase,
-)
+from .gauss_sums import (CoprimeFraction, ExactCoefficient, RationalAngle, _coefficient_values,
+                         _quadratic_numerators, closed_coefficients, unit_phase)
 
 __all__ = [
     "KittenComponent",
@@ -95,6 +89,13 @@ def build_descriptor(f: CoprimeFraction) -> KittenDescriptor:
     coeffs = closed_coefficients(f)
     return KittenDescriptor(f, tuple(KittenComponent(coeffs[k], component_rotation(f, k))
                                      for k in range(f.N)))
+
+
+def _branches(desc: KittenDescriptor, alpha: complex) -> zip:
+    """(c_k, exp(i*rotation_k)*alpha) per component, each factor from one vector call."""
+    rotations = np.array([(c.rotation.num, c.rotation.den) for c in desc.components]).T
+    return zip(_coefficient_values([c.coefficient for c in desc.components]),
+               unit_phase(*rotations) * alpha)
 
 
 def _targets(fractions: tuple[CoprimeFraction, ...]) -> tuple[int, np.ndarray]:

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import fock, wavefunc
 # closed_coefficients is not called here: perfbench/selftest.py's rebinding list needs it bound
-from .gauss_sums import CoprimeFraction, _closed_distinct, closed_coefficients, direct_coefficients
+from .gauss_sums import (CoprimeFraction, _closed_distinct, _coefficient_values,
+                         closed_coefficients, direct_coefficients)
 from .superposition import (
     build_descriptor,
     coefficients_by_inverse_dft,
@@ -139,7 +140,7 @@ def check_golden_states(cfg: VerifyConfig) -> list[CheckResult]:
 
 def _route_residuals(fractions: list[CoprimeFraction]) -> np.ndarray:
     shared, at = _closed_distinct(*fractions)
-    values = np.array([c.value for c in shared])[at]
+    values = _coefficient_values(shared)[at]
     return np.column_stack([
         np.abs(values - direct_coefficients(*fractions)).max(axis=1),
         np.abs(values - coefficients_by_inverse_dft(*fractions)).max(axis=1),

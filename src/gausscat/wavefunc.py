@@ -29,7 +29,7 @@ import numpy as np
 
 from .fock import kitten_vector_series
 from .gauss_sums import CoprimeFraction
-from .superposition import KittenDescriptor
+from .superposition import KittenDescriptor, _branches
 
 __all__ = [
     "AliasingWarning",
@@ -167,8 +167,8 @@ def superposition_wavefunction(alpha: complex, desc: KittenDescriptor, x) -> np.
     coefficients: sum_k c_k psi_coherent(rot_k * alpha, x)."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape, dtype=complex)
-    for comp in desc.components:
-        out += comp.coefficient.value * psi_coherent(comp.rotation.to_complex() * alpha, x)
+    for c, beta in _branches(desc, alpha):
+        out += c * psi_coherent(beta, x)
     return out
 
 

@@ -213,7 +213,7 @@ class TestWavefunction:
         (("wavefunction", "1", "3", "--alpha", "nan,0"), "--alpha"),
         (("wavefunction", "1", "3", "--alpha", "0,nan"), "--alpha"),
         (("wavefunction", "1", "3", "--alpha", "inf,0"), "--alpha"),
-        (("evolve", "1", "3", "--alpha", "-inf,0"), "--alpha"),
+        (("evolve", "1", "3", "--alpha=-inf,0"), "--alpha"),
         (("evolve", "1", "3", "--t", "nan"), "--t"),
         (("evolve", "1", "3", "--t", "inf"), "--t"),
         (("wavefunction", "1", "3", "--grid-half-width", "nan"), "--grid-half-width"),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from gausscat import cli
+from gausscat import cli, gauss_sums
 from gausscat.gauss_sums import (
     CoprimeFraction,
     ExactCoefficient,
@@ -235,6 +235,45 @@ class TestUnitPhase:
         want = np.array([RationalAngle(num, den).to_complex() for num in nums])
         assert np.abs(unit_phase(nums, den) - want).max() < 5e-15
 
+    @given(st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=40),
+           st.integers(1, 5000), st.integers(1, 1000))
+    def test_conjugate_symmetric_and_scale_free(self, nums, den, k):
+        nums = np.array(nums, dtype=np.int64)
+        got = unit_phase(nums, den)
+        # a negated angle is the conjugate bit for bit; a real value (angle 0
+        # or pi) is its own mirror and keeps its +0 imaginary part
+        assert np.array_equal(_bits(unit_phase(-nums, den)),
+                              _bits(np.where(got.imag == 0, got, got.conj())))
+        assert not np.signbit(got.imag[got.imag == 0]).any()
+        # the value depends only on the rational nums/den
+        assert np.array_equal(_bits(unit_phase(k * nums, k * den)), _bits(got))
+
+    @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
+    def test_quarter_turns_are_exact(self, turns, den):
+        # angles 0, pi/2, pi and 3*pi/2, written over 2*den, with no zero of either sign
+        got = unit_phase(den * (np.arange(4) + 4 * turns), 2 * den)
+        want = np.array([complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1)])
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @given(st.lists(st.tuples(st.integers(-10**9, 10**9), st.integers(1, 5000),
+                              st.integers(1, 5000)), min_size=1, max_size=30))
+    def test_scalar_views_equal_the_vector_form(self, rows):
+        nums, dens, inv_sqrt = (list(col) for col in zip(*rows))
+        # den as an array, or a Python list, broadcasts against the numerators
+        got = unit_phase(nums, dens)
+        assert np.array_equal(_bits(got), _bits(unit_phase(np.array(nums), np.array(dens))))
+        scalar = [complex(unit_phase(r, d)) for r, d in zip(nums, dens)]
+        angles = [RationalAngle(r, d).to_complex() for r, d in zip(nums, dens)]
+        assert np.array_equal(_bits(got), _bits(np.array(scalar)))
+        assert np.array_equal(_bits(got), _bits(np.array(angles)))
+        values = [ExactCoefficient(n, RationalAngle(r, d)).value for r, d, n in rows]
+        assert np.array_equal(_bits(got / np.sqrt(inv_sqrt)), _bits(np.array(values)))
+
+
+def _bits(z):
+    """The bit patterns of a complex array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(z, dtype=complex).view(np.int64)
+
 
 def _direct_reference(f, k):
     """The defining sum term by term, each exponent reduced exactly as a
@@ -361,17 +400,21 @@ class TestClosedRoute:
         assert not any(a is b for a, b in zip(again, both))
 
     def test_one_call_builds_at_most_n_values(self, monkeypatch):
-        calls = []
-        original = RationalAngle.to_complex
+        # the closed route is exact: it evaluates no phase at all, and a value
+        # is evaluated only when it is read
+        evaluated = []
+        original = gauss_sums.unit_phase
 
-        def counted(self):
-            calls.append(None)
-            return original(self)
+        def counted(nums, den):
+            out = original(nums, den)
+            evaluated.append(out.size)
+            return out
 
-        monkeypatch.setattr(RationalAngle, "to_complex", counted)
-        f = CoprimeFraction(1, 4001)
-        closed_coefficients(f)
-        assert 0 < len(calls) <= f.N
+        monkeypatch.setattr(gauss_sums, "unit_phase", counted)
+        coeffs = closed_coefficients(CoprimeFraction(1, 4001))
+        assert sum(evaluated) == 0
+        assert abs(coeffs[0].value) == pytest.approx(1 / math.sqrt(4001))
+        assert sum(evaluated) == 1
 
     @pytest.mark.parametrize("n", [12, 101, 200])
     def test_rows_of_one_denominator_match_single_calls(self, n):
@@ -455,12 +498,18 @@ class TestMultiBlockRoutes:
         assert np.abs(coefficients_by_inverse_dft(f) - want).max() <= 1e-15
 
     def test_forward_dft(self, m, n, blocks):
+        # a unit row c = e_k sums to one row of the dense formula, exp(2*pi*i*k*j/N),
+        # with no accumulated rounding, so the O(1) residuals compare well; the
+        # ~1e-15 residual of the true coefficients would compare noise with noise
         f = CoprimeFraction(m, n)
         _, quad = _quadratic_numerators((f,))
         targets = unit_phase(-quad, n)
+        for k in (0, 1, n // 2, n - 1):
+            c = np.zeros((1, n), dtype=complex)
+            c[0, k] = 1.0
+            want = np.abs(unit_phase(2 * k * np.arange(n), n) - targets).max(axis=1)
+            assert np.abs(verify_forward_dft(f, coefficients=c) - want).max() <= 1e-15
         c = direct_coefficients(f)
-        want = np.abs(c @ _dense_dft(n).conj().T - targets).max(axis=1)
-        assert np.abs(verify_forward_dft(f, coefficients=c) - want).max() <= 1e-15
         c[0, -1] += 0.1  # a fault in the last coefficient shows at every j
         assert verify_forward_dft(f, coefficients=c)[0] >= 0.05
 

@@ -279,24 +279,26 @@ class TestSharedTransform:
 
 class TestValuesEvaluatedOnce:
     def test_gauss_sweep_evaluates_each_shared_value_once(self, monkeypatch):
-        # one complex evaluation per distinct closed value of each N, plus at
-        # most two per golden coefficient (the reference and the built one)
+        # the values passed to unit_phase: one per distinct closed value of each
+        # N, and the direct route's one table of 4N roots per N; the golden
+        # descriptors are compared as exact phases and evaluate nothing
         cfg = VerifyConfig(coeff_n_max=60)
         distinct = sum(
             np.unique(gauss_sums._closed_numerators(
                 *(CoprimeFraction(m, n) for m in range(1, n) if math.gcd(m, n) == 1))).size
             for n in range(2, cfg.coeff_n_max + 1))
-        golden = sum(2 * f.N for f, _ in superposition.reference_state_table())
-        calls = []
-        original = RationalAngle.to_complex
+        roots = sum(4 * n for n in range(2, cfg.coeff_n_max + 1))
+        evaluated = []
+        original = gauss_sums.unit_phase
 
-        def counted(self):
-            calls.append(None)
-            return original(self)
+        def counted(nums, den):
+            out = original(nums, den)
+            evaluated.append(out.size)
+            return out
 
-        monkeypatch.setattr(RationalAngle, "to_complex", counted)
+        monkeypatch.setattr(gauss_sums, "unit_phase", counted)
         assert all(r.passed for r in run_checks(cfg, ["gauss"]))
-        assert 0 < len(calls) <= distinct + golden
+        assert 0 < sum(evaluated) <= distinct + roots
 
 
 class TestClosedRouteBatched:
