@@ -175,11 +175,8 @@ class ExactCoefficient:
         return f"exp(i·{self.phase})/{root}"
 
 
-_QUARTER_TURNS = np.array([1, 1j, -1])
-
-
 def unit_phase(nums: np.typing.ArrayLike, den: np.typing.ArrayLike) -> np.ndarray:
-    """exp(i*pi*nums/den) for integer numerators and denominators that broadcast.
+    """exp(i*pi*nums/den) for integer nums and den <= 2**60 (int64-exact) that broadcast.
 
     Exact integer range reduction (Muller, *Elementary Functions*, ch. 11): r = nums
     mod 2*den, r > den is the conjugate of 2*den - r, and a = min(r, 2*den - r) is
@@ -187,11 +184,12 @@ def unit_phase(nums: np.typing.ArrayLike, den: np.typing.ArrayLike) -> np.ndarra
     value is exp(i*theta) times i**q, an exact product.  So 1, -1 and +-i are exact,
     unit_phase(-r, d) == unit_phase(r, d).conj(), and unit_phase(k*r, k*d) == unit_phase(r, d).
     """
-    den = np.asarray(den, dtype=np.int64)
+    if ((den := np.asarray(den, dtype=np.int64)) > 2**60).any():
+        raise ValueError("unit_phase reduces in int64, so den must be at most 2**60")
     r = np.asarray(nums, dtype=np.int64) % (2 * den)
     a = np.minimum(r, 2 * den - r)
     q = (4 * a + den) // (2 * den)
-    z = np.exp(1j * (np.pi / 2 * ((2 * a - q * den) / den))) * _QUARTER_TURNS[q]
+    z = np.exp(1j * (np.pi / 2 * ((2 * a - q * den) / den))) * np.array([1, 1j, -1])[q]
     return np.where(r > den, z.conj(), z)
 
 

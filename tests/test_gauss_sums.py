@@ -10,7 +10,7 @@ import tracemalloc
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from gausscat import cli, gauss_sums
 from gausscat.gauss_sums import (
@@ -230,10 +230,24 @@ class TestCoprimeFraction:
 class TestUnitPhase:
     @given(st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=40),
            st.integers(1, 500))
+    @example([0, 1, 2**59, 2**60, 2**61 - 1], 2**60)  # the largest den it accepts
     def test_matches_exact_scalar_phase(self, nums, den):
-        # numerators far outside [0, 2*den), negative ones included
-        want = np.array([RationalAngle(num, den).to_complex() for num in nums])
+        # numerators far outside [0, 2*den), negative ones included, against
+        # cmath.exp of the exactly reduced angle, an evaluator independent of unit_phase
+        want = np.array([_cmath_phase(num, den) for num in nums])
         assert np.abs(unit_phase(nums, den) - want).max() < 5e-15
+
+    @pytest.mark.parametrize("den", [2**60 + 1, 2**61, 2**62 + 1, [3, 2**62 + 1]])
+    def test_den_beyond_int64_reduction_raises(self, den):
+        # the int64 reduction is exact only up to 2**60 (4*a + den wraps from
+        # about 2**61 on), so a larger den raises instead of returning a wrong phase
+        with pytest.raises(ValueError, match="2\\*\\*60"):
+            unit_phase(1, den)
+        if isinstance(den, int):
+            with pytest.raises(ValueError):
+                RationalAngle(1, den).to_complex()
+            with pytest.raises(ValueError):
+                ExactCoefficient(1, RationalAngle(1, den)).value
 
     @given(st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=40),
            st.integers(1, 5000), st.integers(1, 1000))
@@ -275,14 +289,20 @@ def _bits(z):
     return np.ascontiguousarray(z, dtype=complex).view(np.int64)
 
 
+def _cmath_phase(num, den):
+    """exp(i*pi*num/den) by cmath.exp of the angle reduced exactly mod 2*pi:
+    a reference evaluator that shares no code with unit_phase."""
+    return cmath.exp(1j * math.pi * (num % (2 * den)) / den)
+
+
 def _direct_reference(f, k):
-    """The defining sum term by term, each exponent reduced exactly as a
-    RationalAngle before its complex evaluation."""
+    """The defining sum term by term, each exponent reduced exactly mod 2N
+    before its cmath evaluation."""
     m, n = f.M, f.N
     total = 0.0 + 0.0j
     for ell in range(n):
         quad = m * ell * ell if f.n_even else m * ell * (ell - 1)
-        total += RationalAngle(-(quad + 2 * k * ell), n).to_complex()
+        total += _cmath_phase(-(quad + 2 * k * ell), n)
     return total / n
 
 
