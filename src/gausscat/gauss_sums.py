@@ -12,9 +12,10 @@ d = M^{-1} mod N collapses each sum to a single root of unity of magnitude
 module provides the integer number theory (modular inverse, Jacobi symbol),
 an exact carrier for rational multiples of pi, the one primitive that turns
 integer phase numerators into roots of unity, and two of the three
-coefficient routes: plain summation and the closed forms, one integer phase
-table per N with at most 8N distinct values (the inverse DFT is in
-:mod:`gausscat.superposition`).
+coefficient routes: plain summation, one matrix-vector product per fraction
+against a block of exact roots shared by all fractions of one N, and the
+closed forms, one integer phase table per N with at most 8N distinct values
+(the inverse DFT is in :mod:`gausscat.superposition`).
 
 Every phase that is known exactly is kept as a reduced rational multiple
 of pi (:class:`RationalAngle`) and converted to a complex number only at
@@ -266,9 +267,9 @@ def _quadratic_numerators(fractions: tuple[CoprimeFraction, ...]) -> tuple[int, 
     return n, m * j * (j if n % 2 == 0 else j - 1) % (2 * n)
 
 
-# Cross-term entries per block of output indices k (``_k_blocks``) in the direct
-# route, so that a call holds O(2^20 + phi(N)*N) values whatever N is; N <= 1024
-# takes one block.
+# Entries of the direct route's block of exact roots W[k, l] per block of output
+# indices k (``_k_blocks``): a call holds one such block and its int64 exponents,
+# so O(2^20 + phi(N)*N) values whatever N is; N <= 1024 takes one block.
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -283,19 +284,26 @@ def direct_coefficients(*fractions: CoprimeFraction) -> np.ndarray:
     """All N coefficients of each fraction by plain summation of the defining
     Gauss sums: one row per fraction, for fractions of one denominator N.
 
-    Every exponent is an exact integer multiple of pi/N: its quadratic and
-    cross terms are each reduced mod 2N, and their sum indexes one table of
-    the 2N-th roots of unity, stored twice over, so the only floating-point
-    error is the final N-term accumulation.  The cross terms are built for
-    one block of output indices k at a time (``_k_blocks``), and within a
-    block the fractions are summed one at a time.
+    Each term splits exactly as zeta^(2kl) * zeta^(q_l), zeta = exp(-i*pi/N):
+    the cross and quadratic exponents are each reduced mod 2N and index one
+    table of the 2N-th roots of unity, so the block W[k, l] = zeta^(2kl) and
+    the term vector t_l = zeta^(q_l) are exact roots, and the only
+    floating-point error is one product per term and the N-term sum of the
+    matrix-vector product W @ t.  W is built for one block of output indices
+    k at a time (``_k_blocks``) and shared by all fractions, each of which
+    takes one product per block: unlike one matrix-matrix product for all
+    fractions, it gives the same bits under 1 or 2 BLAS threads.
     """
     n, quad = _quadratic_numerators(fractions)
     ell = np.arange(n, dtype=np.int64)
-    roots = unit_phase(np.arange(4 * n), n).conj()
+    roots = unit_phase(np.arange(2 * n), n).conj()
+    terms = roots[quad]
     rows = np.empty(quad.shape, dtype=complex)
     for block in _k_blocks(n):
-        cross = (2 * np.outer(ell[block], ell)) % (2 * n)
-        for row, q in zip(rows, quad):
-            row[block] = roots[q + cross].sum(axis=1) / n
+        cross = np.multiply.outer(ell[block], 2 * ell)
+        cross %= 2 * n  # in place: one int64 table per block, no temporaries
+        w = roots[cross]
+        for row, t in zip(rows, terms):
+            row[block] = w @ t / n
+        del w, cross  # before the next block is built, so a call holds one block
     return rows

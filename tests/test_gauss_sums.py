@@ -332,15 +332,27 @@ def _jacobi_of(m, n):
     return jacobi_symbol(n, m) if n % 2 == 0 else jacobi_symbol(m, n)
 
 
-def _direct_modulo_reference(f):
+def _direct_modulo_reference(f, wrong_last_exponent=False):
     """The direct sum as first vectorized: exponents reduced mod 2N once more
-    after adding the quadratic and cross terms, and one period of roots."""
+    after adding the quadratic and cross terms, and one period of roots.  A
+    wrong last exponent plants a fault: the term of k = l = N - 1 is off by
+    one step of pi/N."""
     m, n = f.M, f.N
     ell = np.arange(n, dtype=np.int64)
     quad = (m * ell * ell) % (2 * n) if f.n_even else (m * ell * (ell - 1)) % (2 * n)
     cross = (2 * np.outer(ell, ell)) % (2 * n)
+    cross[-1, -1] += wrong_last_exponent
     roots = unit_phase(np.arange(2 * n), n).conj()
     return roots[(quad[None, :] + cross) % (2 * n)].sum(axis=1) / n
+
+
+def _assert_direct_matches_modulo_formula(f):
+    """The direct route is the exact-root sum up to one product per term and
+    the order of the sum: within 2e-16 of the modulo formula (at most 9.7e-17
+    measured up to N = 4001), which one wrong exponent is not."""
+    got = direct_coefficients(f)[0]
+    assert np.abs(got - _direct_modulo_reference(f)).max() <= 2e-16
+    assert np.abs(got - _direct_modulo_reference(f, wrong_last_exponent=True)).max() > 2e-16
 
 
 class TestDirectRoute:
@@ -366,17 +378,26 @@ class TestDirectRoute:
     @pytest.mark.parametrize("m, n", [(1, 2), (2, 3), (3, 4), (7, 101), (199, 200),
                                       (100, 201), (5, 256), (250, 499), (499, 500)])
     def test_bit_identical_to_modulo_formula(self, m, n):
-        f = CoprimeFraction(m, n)
-        assert np.array_equal(direct_coefficients(f)[0], _direct_modulo_reference(f))
+        _assert_direct_matches_modulo_formula(CoprimeFraction(m, n))
 
-
-    @pytest.mark.parametrize("n", [12, 101, 200])
-    def test_rows_of_one_denominator_match_single_calls(self, n):
-        fractions = [CoprimeFraction(m, n) for m in range(1, n) if math.gcd(m, n) == 1]
+    @pytest.mark.parametrize("n, count", [(12, None), (101, None), (200, None), (1031, 2)],
+                             ids=["12", "101", "200", "1031"])
+    def test_rows_of_one_denominator_match_single_calls(self, n, count):
+        # 1031 takes two blocks of output indices
+        fractions = [CoprimeFraction(m, n) for m in range(1, n) if math.gcd(m, n) == 1][:count]
         rows = direct_coefficients(*fractions)
         assert rows.shape == (len(fractions), n)
         for row, f in zip(rows, fractions):
             assert np.array_equal(row, direct_coefficients(f)[0])
+
+    def test_block_split_moves_no_row_beyond_rounding(self, monkeypatch):
+        # 15 blocks of output indices, the last of 3, against the one block
+        # that N = 101 takes by default
+        fractions = [CoprimeFraction(m, 101) for m in range(1, 101)]
+        whole = direct_coefficients(*fractions)
+        monkeypatch.setattr(gauss_sums, "_BLOCK_ENTRIES", 7 * 101)
+        assert [s.stop - s.start for s in _k_blocks(101)] == [7] * 14 + [3]
+        assert np.abs(direct_coefficients(*fractions) - whole).max() <= 2e-16
 
     def test_mixed_or_no_denominator_rejected(self):
         with pytest.raises(ValueError):
@@ -497,9 +518,9 @@ def _dense_dft(n):
 @pytest.mark.parametrize("m, n, blocks", [(1, 1031, 2), (3, 2048, 4), (2, 1725, 3)])
 class TestMultiBlockRoutes:
     """Above N = 1024 the direct route takes several blocks of output indices k
-    (the last one short at 1031 and 1725) and must equal its dense formula bit
-    for bit; the FFT routes (a prime, a power of two and a composite N) must
-    equal theirs to within 1e-15."""
+    (the last one short at 1031 and 1725) and must equal its dense formula to
+    within 2e-16; the FFT routes (a prime, a power of two and a composite N)
+    must equal theirs to within 1e-15."""
 
     def test_block_count(self, m, n, blocks):
         slices = list(_k_blocks(n))
@@ -507,8 +528,7 @@ class TestMultiBlockRoutes:
         assert np.array_equal(np.concatenate([np.arange(n)[s] for s in slices]), np.arange(n))
 
     def test_direct(self, m, n, blocks):
-        f = CoprimeFraction(m, n)
-        assert np.array_equal(direct_coefficients(f)[0], _direct_modulo_reference(f))
+        _assert_direct_matches_modulo_formula(CoprimeFraction(m, n))
 
     def test_inverse_dft(self, m, n, blocks):
         f = CoprimeFraction(m, n)
@@ -568,8 +588,16 @@ def _traced_peak(call):
 ], ids=["direct", "inverse-dft", "forward-dft", "cli-coeffs"])
 def test_one_call_stays_within_48_mb(call):
     # whole N x N tables at N = 2003 take 92-123 MB of traced allocations;
-    # blocks of about 2^20 entries take about 32 MB whatever N is
+    # blocks of about 2^20 entries take about 24 MB whatever N is
     assert _traced_peak(call) < 48 * 2**20
+
+
+def test_one_direct_call_stays_within_28_mb():
+    # a block of 523 x 2003 exact roots (16.8 MB) and its int64 exponents
+    # (8.4 MB), one block at a time: about 24 MB; one more int64 table per
+    # block, such as the quadratic exponents added to the cross ones, or a
+    # second block alive while the next is built, takes 32-40 MB
+    assert _traced_peak(direct_coefficients) < 28 * 2**20
 
 
 @pytest.mark.parametrize("call", [
