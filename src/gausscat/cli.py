@@ -30,13 +30,13 @@ from .fock import (coherent_underflows, evolution_fidelity, required_dimension,
                    within_truncation_guard)
 from .gauss_sums import (
     CoprimeFraction,
-    RationalAngle,
     _coefficient_values,
     closed_coefficients,
     direct_coefficients,
 )
 from .superposition import (
     KittenDescriptor,
+    _exact_components,
     build_descriptor,
     coefficient_to_dict,
     coefficients_by_inverse_dft,
@@ -135,10 +135,10 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def _yurke_stoler_view(desc: KittenDescriptor) -> KittenDescriptor:
-    """Fold the substitution alpha -> -i*alpha into the rotations."""
-    shift = RationalAngle(3, 2)  # -pi/2
-    components = tuple(replace(c, rotation=c.rotation + shift) for c in desc.components)
-    return replace(desc, components=components)
+    """Fold the substitution alpha -> -i*alpha into the rotations: -pi/2 is
+    3N over 2N, mod 4N."""
+    n = desc.fraction.N
+    return replace(desc, rotations=tuple((r + 3 * n) % (4 * n) for r in desc.rotations))
 
 
 def cmd_state(args: argparse.Namespace) -> int:
@@ -152,8 +152,8 @@ def cmd_state(args: argparse.Namespace) -> int:
         label = "-i·α" if args.yurke_stoler else "α"
         print(f"# superposition for M/N = {f.M}/{f.N} ({desc.parity} N), "
               f"amplitude {label}")
-        for k, c in enumerate(desc.components):
-            print(f"k={k}: {c.coefficient} · |exp(i·{c.rotation})·α⟩")
+        for k, (c, rotation) in enumerate(_exact_components(desc)):
+            print(f"k={k}: {c} · |exp(i·{rotation})·α⟩")
     return 0
 
 

@@ -103,10 +103,6 @@ class RationalAngle:
         object.__setattr__(self, "num", num // g)
         object.__setattr__(self, "den", self.den // g)
 
-    def __add__(self, other: "RationalAngle") -> "RationalAngle":
-        return RationalAngle(self.num * other.den + other.num * self.den,
-                             self.den * other.den)
-
     def to_complex(self) -> complex:
         """exp(i*pi*num/den), bit for bit the scalar view of ``unit_phase``."""
         return complex(unit_phase(self.num, self.den))

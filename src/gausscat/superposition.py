@@ -13,8 +13,8 @@ Fourier transform of the quadratic phase sequence (numpy's FFT), and the
 forward transform identity can be checked for any candidate coefficient list.
 
 A small table of hand-derived reference states (N = 2, 3, 4, 5) is kept
-as golden data; ``build_descriptor`` must reproduce it exactly at the
-rational-phase level.
+as golden data; ``build_descriptor`` must reproduce it exactly, as equal
+rational phases and equal integer rotation numerators.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .gauss_sums import (CoprimeFraction, ExactCoefficient, RationalAngle, _coef
                          _quadratic_numerators, closed_coefficients, unit_phase)
 
 __all__ = [
-    "KittenComponent",
     "KittenDescriptor",
     "build_descriptor",
     "coefficient_to_dict",
@@ -40,62 +39,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class KittenComponent:
-    """One branch of the superposition: coefficient * |exp(i*rotation)*alpha>;
-    its index k is its position in the descriptor's components."""
-
-    coefficient: ExactCoefficient
-    rotation: RationalAngle
-
-
 @dataclass(frozen=True)
 class KittenDescriptor:
-    """The full finite superposition for a fraction M/N.
+    """The full finite superposition for a fraction M/N: the sum over k of
+    components[k] * |exp(i*pi*rotations[k]/(2N))*alpha>, k the derivation index.
 
-    Exactly N components, component k at position k (the derivation index,
-    not the angle); every coefficient has magnitude 1/sqrt(N) so the weights
-    sum to one by construction, and the rotations are pairwise distinct mod
-    2*pi.  ``parity`` ("even" or "odd") is that of N.
+    Every coefficient has magnitude 1/sqrt(N) so the weights sum to one by
+    construction; the rotations are N distinct integers in [0, 4N), so
+    distinct mod 2*pi.  ``parity`` ("even" or "odd") is that of N.
     """
 
     fraction: CoprimeFraction
-    components: tuple[KittenComponent, ...]
+    components: tuple[ExactCoefficient, ...]
+    rotations: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n = self.fraction.N
-        if len(self.components) != n:
-            raise ValueError(f"expected {n} components, got {len(self.components)}")
-        if any(c.coefficient.inv_sqrt_n != n for c in self.components):
+        if len(self.components) != n or len(self.rotations) != n:
+            raise ValueError(f"expected {n} components and rotations, got "
+                             f"{len(self.components)} and {len(self.rotations)}")
+        if any(c.inv_sqrt_n != n for c in self.components):
             raise ValueError("every coefficient must have magnitude 1/sqrt(N)")
-        rotations = {(c.rotation.num, c.rotation.den) for c in self.components}
-        if len(rotations) != n:
-            raise ValueError("rotations must be distinct mod 2*pi")
+        if len(set(self.rotations)) != n or not all(0 <= r < 4 * n for r in self.rotations):
+            raise ValueError("rotations must be distinct numerators over 2N in [0, 4N)")
 
     @property
     def parity(self) -> str:
         return "even" if self.fraction.n_even else "odd"
 
 
-def component_rotation(f: CoprimeFraction, k: int) -> RationalAngle:
-    """Rotation of alpha for branch k: 2*pi*k/N, shifted by pi*M/N for even N."""
-    if f.n_even:
-        return RationalAngle(2 * k + f.M, f.N)
-    return RationalAngle(2 * k, f.N)
-
-
 def build_descriptor(f: CoprimeFraction) -> KittenDescriptor:
-    """Descriptor with closed-form coefficients and parity-correct rotations."""
-    coeffs = closed_coefficients(f)
-    return KittenDescriptor(f, tuple(KittenComponent(coeffs[k], component_rotation(f, k))
-                                     for k in range(f.N)))
+    """Descriptor with the closed-form coefficients, the objects that
+    ``closed_coefficients`` returns, and the rotations 2*pi*k/N, shifted by
+    pi*M/N for even N: numerators (4k + 2M*[N even]) mod 4N over 2N."""
+    n, shift = f.N, 2 * f.M if f.n_even else 0
+    return KittenDescriptor(f, tuple(closed_coefficients(f)),
+                            tuple((4 * k + shift) % (4 * n) for k in range(n)))
 
 
 def _branches(desc: KittenDescriptor, alpha: complex) -> zip:
-    """(c_k, exp(i*rotation_k)*alpha) per component, each factor from one vector call."""
-    rotations = np.array([(c.rotation.num, c.rotation.den) for c in desc.components]).T
-    return zip(_coefficient_values([c.coefficient for c in desc.components]),
-               unit_phase(*rotations) * alpha)
+    """(c_k, exp(i*pi*r_k/(2N))*alpha) per component, each factor from one vector call."""
+    return zip(_coefficient_values(desc.components),
+               unit_phase(desc.rotations, 2 * desc.fraction.N) * alpha)
+
+
+def _exact_components(desc: KittenDescriptor) -> zip:
+    """(c_k, rotation_k as a ``RationalAngle``) per component, made only to be printed."""
+    return zip(desc.components, (RationalAngle(r, 2 * desc.fraction.N) for r in desc.rotations))
 
 
 def _targets(fractions: tuple[CoprimeFraction, ...]) -> tuple[int, np.ndarray]:
@@ -140,12 +130,10 @@ _PENTAGON_ROTS = [(0, 1), (2, 5), (4, 5), (6, 5), (8, 5)]
 def _reference_state(m: int, n: int,
                      phases: Iterable[tuple[int, int]],
                      rotations: Iterable[tuple[int, int]]) -> tuple[CoprimeFraction, KittenDescriptor]:
+    """Coefficients exp(i*pi*pn/pd)/sqrt(N); rotations pi*rn/rd, as numerators over 2N."""
     f = CoprimeFraction(m, n)
-    components = tuple(
-        KittenComponent(ExactCoefficient(n, RationalAngle(pn, pd)), RationalAngle(rn, rd))
-        for (pn, pd), (rn, rd) in zip(phases, rotations)
-    )
-    return f, KittenDescriptor(f, components)
+    coefficients = tuple(ExactCoefficient(n, RationalAngle(pn, pd)) for pn, pd in phases)
+    return f, KittenDescriptor(f, coefficients, tuple(rn * 2 * n // rd for rn, rd in rotations))
 
 
 def reference_state_table() -> list[tuple[CoprimeFraction, KittenDescriptor]]:
@@ -211,10 +199,10 @@ def descriptor_to_json(desc: KittenDescriptor) -> str:
         "components": [
             {
                 "k": k,
-                "coeff": coefficient_to_dict(c.coefficient),
-                "rotation": {"num": c.rotation.num, "den": c.rotation.den},
+                "coeff": coefficient_to_dict(c),
+                "rotation": {"num": rotation.num, "den": rotation.den},
             }
-            for k, c in enumerate(desc.components)
+            for k, (c, rotation) in enumerate(_exact_components(desc))
         ],
     }
     return json.dumps(obj, indent=2)

@@ -1,5 +1,6 @@
 """CLI behavior: formats, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -52,6 +53,34 @@ class TestCoeffs:
         assert len(lines) == 4
 
 
+# state M N --yurke-stoler: the text output, the JSON rotations as (num, den)
+# multiples of pi, and the sha256 of the whole JSON output
+YURKE_STOLER = [
+    (1, 2, """\
+# superposition for M/N = 1/2 (even N), amplitude -i·α
+k=0: exp(i·7π/4)/√2 · |exp(i·0)·α⟩
+k=1: exp(i·π/4)/√2 · |exp(i·π)·α⟩
+""", [(0, 1), (1, 1)], "4f3ee7c91e5bbcba9ce1eac1dbab901752d73f7b3f95fd2f073c8a14bf72ffe2"),
+    (3, 4, """\
+# superposition for M/N = 3/4 (even N), amplitude -i·α
+k=0: exp(i·5π/4)/√4 · |exp(i·π/4)·α⟩
+k=1: 1/√4 · |exp(i·3π/4)·α⟩
+k=2: exp(i·π/4)/√4 · |exp(i·5π/4)·α⟩
+k=3: 1/√4 · |exp(i·7π/4)·α⟩
+""", [(1, 4), (3, 4), (5, 4), (7, 4)],
+     "4b34ac551461a02fa1a7b6041a32a435fc6189e2fe543023b86dfffe55489386"),
+    (2, 5, """\
+# superposition for M/N = 2/5 (odd N), amplitude -i·α
+k=0: exp(i·8π/5)/√5 · |exp(i·3π/2)·α⟩
+k=1: 1/√5 · |exp(i·19π/10)·α⟩
+k=2: exp(i·8π/5)/√5 · |exp(i·3π/10)·α⟩
+k=3: exp(i·2π/5)/√5 · |exp(i·7π/10)·α⟩
+k=4: exp(i·2π/5)/√5 · |exp(i·11π/10)·α⟩
+""", [(3, 2), (19, 10), (3, 10), (7, 10), (11, 10)],
+     "b965c51e74b6314295d49931065938adc20af882fa03c97e8c1bad9a88c99d57"),
+]
+
+
 class TestState:
     def test_json_round_trips_to_descriptor(self, capsys):
         code, out, _ = run_cli(capsys, "state", "1", "3", "--format", "json")
@@ -74,6 +103,17 @@ class TestState:
                      for c in obj["components"]]
         # amplitudes land on +alpha and -alpha
         assert rotations == [(0, 1), (1, 1)]
+
+    @pytest.mark.parametrize("m, n, text, rotations, json_sha256", YURKE_STOLER)
+    def test_yurke_stoler_output_is_pinned(self, capsys, m, n, text, rotations, json_sha256):
+        _, out, _ = run_cli(capsys, "state", str(m), str(n), "--yurke-stoler")
+        assert out == text
+        _, out, _ = run_cli(capsys, "state", str(m), str(n), "--format", "json",
+                            "--yurke-stoler")
+        obj = json.loads(out)
+        assert [(c["rotation"]["num"], c["rotation"]["den"]) for c in obj["components"]] \
+            == rotations
+        assert hashlib.sha256(out.encode()).hexdigest() == json_sha256
 
     def test_text_output(self, capsys):
         code, out, _ = run_cli(capsys, "state", "3", "4")

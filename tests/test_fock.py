@@ -3,6 +3,7 @@
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import numpy as np
@@ -205,10 +206,11 @@ class TestLoweringPowerIdentity:
         mu = sign * mu_factor(f)
         total = 0.0
         for i in range(dim - n):
-            phase, mag = RationalAngle(0), 1.0
+            angle, mag = Fraction(0), 1.0  # an exact multiple of pi
             for step in range(n):
-                phase = phase + RationalAngle(2 * m * (i + step), n)
+                angle += Fraction(2 * m * (i + step), n)
                 mag *= math.sqrt(i + step + 1)
+            phase = RationalAngle(angle.numerator, angle.denominator)
             total += abs(phase.to_complex() * mag - mu * mag) ** 2
         monkeypatch.setattr(fock, "mu_factor", lambda _: mu)
         value = aN_identity_residual(f, dim)
@@ -242,20 +244,18 @@ class TestLoweringPowerIdentity:
     def test_band_product_matches_dense_matmul(self):
         # the exact-phase band entries agree with a dense complex matmul of
         # (U^{-1} a)^N to float accuracy (relative; magnitudes reach sqrt(24!/17!))
-        from gausscat.gauss_sums import RationalAngle
-
         f, dim = CoprimeFraction(2, 7), 24
         dense = np.eye(dim, dtype=complex)
         factor = rotation_diagonal(f, dim).conj()[:, None] * annihilation_matrix(dim)
         for _ in range(f.N):
             dense = dense @ factor
         for i in range(dim - f.N):
-            phase = RationalAngle(0)
+            angle = Fraction(0)  # an exact multiple of pi
             mag = 1.0
             for step in range(f.N):
-                phase = phase + RationalAngle(2 * f.M * (i + step), f.N)
+                angle += Fraction(2 * f.M * (i + step), f.N)
                 mag *= math.sqrt(i + step + 1)
-            exact = phase.to_complex() * mag
+            exact = RationalAngle(angle.numerator, angle.denominator).to_complex() * mag
             assert abs(dense[i, i + f.N] - exact) < 1e-9 * mag
 
 

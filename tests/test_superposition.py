@@ -18,7 +18,6 @@ from gausscat.gauss_sums import (
     unit_phase,
 )
 from gausscat.superposition import (
-    KittenComponent,
     KittenDescriptor,
     build_descriptor,
     coefficients_by_inverse_dft,
@@ -36,15 +35,17 @@ def coprime_fractions_st(draw, n_max=40):
 
 
 def _phases(desc):
-    return [(c.coefficient.phase.num, c.coefficient.phase.den) for c in desc.components]
+    return [(c.phase.num, c.phase.den) for c in desc.components]
 
 
 def _rotations(desc):
-    return [(c.rotation.num, c.rotation.den) for c in desc.components]
+    """The rotations as reduced (num, den) pairs of multiples of pi."""
+    angles = [RationalAngle(r, 2 * desc.fraction.N) for r in desc.rotations]
+    return [(a.num, a.den) for a in angles]
 
 
 def _values(desc):
-    return np.array([c.coefficient.value for c in desc.components])
+    return np.array([c.value for c in desc.components])
 
 
 def _parse_descriptor(text):
@@ -52,12 +53,13 @@ def _parse_descriptor(text):
     obj = json.loads(text)
     assert [c["k"] for c in obj["components"]] == list(range(obj["N"]))
     assert all(c["coeff"]["sign"] == 1 for c in obj["components"])
-    desc = KittenDescriptor(CoprimeFraction(obj["M"], obj["N"]), tuple(
-        KittenComponent(
-            ExactCoefficient(c["coeff"]["inv_sqrt"],
-                             RationalAngle(c["coeff"]["phase_num"], c["coeff"]["phase_den"])),
-            RationalAngle(c["rotation"]["num"], c["rotation"]["den"]))
-        for c in obj["components"]))
+    n = obj["N"]
+    desc = KittenDescriptor(
+        CoprimeFraction(obj["M"], n),
+        tuple(ExactCoefficient(c["coeff"]["inv_sqrt"],
+                               RationalAngle(c["coeff"]["phase_num"], c["coeff"]["phase_den"]))
+              for c in obj["components"]),
+        tuple(c["rotation"]["num"] * 2 * n // c["rotation"]["den"] for c in obj["components"]))
     assert obj["parity"] == desc.parity
     return desc
 
@@ -87,8 +89,8 @@ class TestBuildDescriptor:
 
     def test_weights_sum_to_one(self):
         desc = build_descriptor(CoprimeFraction(2, 7))
-        assert all(c.coefficient.inv_sqrt_n == 7 for c in desc.components)
-        total = sum(abs(c.coefficient.value) ** 2 for c in desc.components)
+        assert all(c.inv_sqrt_n == 7 for c in desc.components)
+        total = sum(abs(c.value) ** 2 for c in desc.components)
         assert abs(total - 1.0) < 1e-14
 
     @pytest.mark.parametrize("m, n", [(1, 3), (2, 5), (1, 2), (3, 8), (5, 6)])
@@ -96,8 +98,8 @@ class TestBuildDescriptor:
         # N-th power of every rotation is +1 for odd N and -1 for even N
         desc = build_descriptor(CoprimeFraction(m, n))
         closure = RationalAngle(0, 1) if n % 2 else RationalAngle(1, 1)
-        for c in desc.components:
-            assert RationalAngle(c.rotation.num * n, c.rotation.den) == closure
+        for r in desc.rotations:
+            assert RationalAngle(r * n, 2 * n) == closure
 
 
 class TestGoldenTable:
@@ -112,8 +114,9 @@ class TestGoldenTable:
         assert _phases(table[CoprimeFraction(3, 5)]) == [(2, 5), (8, 5), (8, 5), (2, 5), (0, 1)]
         # the bare -1 coefficient of the fourth pentagonal state sits at rotation 4*pi/5
         state45 = table[CoprimeFraction(4, 5)]
-        assert state45.components[2].coefficient == ExactCoefficient(5, RationalAngle(1, 1))
-        assert state45.components[2].rotation == RationalAngle(4, 5)
+        assert state45.components[2] == ExactCoefficient(5, RationalAngle(1, 1))
+        assert state45.rotations[2] == 8  # 8*pi/10
+        assert _rotations(state45)[2] == (4, 5)
 
 
 class TestInverseDft:
@@ -224,23 +227,31 @@ class TestDescriptorValidation:
         f = CoprimeFraction(1, 3)
         good = build_descriptor(f)
         with pytest.raises(ValueError):
-            KittenDescriptor(f, good.components[:2])
+            KittenDescriptor(f, good.components[:2], good.rotations)
+        with pytest.raises(ValueError):
+            KittenDescriptor(f, good.components, good.rotations[:2])
 
     def test_duplicate_rotations_rejected(self):
         f = CoprimeFraction(1, 2)
         c = ExactCoefficient(2, RationalAngle(0, 1))
-        components = (KittenComponent(c, RationalAngle(1, 2)),
-                      KittenComponent(c, RationalAngle(1, 2)))
+        KittenDescriptor(f, (c, c), (2, 6))
         with pytest.raises(ValueError):
-            KittenDescriptor(f, components)
+            KittenDescriptor(f, (c, c), (2, 2))
 
     def test_wrong_magnitude_rejected(self):
         f = CoprimeFraction(1, 2)
         c = ExactCoefficient(3, RationalAngle(0, 1))
-        components = (KittenComponent(c, RationalAngle(1, 2)),
-                      KittenComponent(c, RationalAngle(3, 2)))
         with pytest.raises(ValueError):
-            KittenDescriptor(f, components)
+            KittenDescriptor(f, (c, c), (2, 6))
+
+    def test_rotation_outside_one_turn_rejected(self):
+        # numerators over 2N must lie in [0, 4N): -2, 8 and 10 are the distinct
+        # rotations 6, 0 and 2 only after reduction mod 8
+        f = CoprimeFraction(1, 2)
+        c = ExactCoefficient(2, RationalAngle(0, 1))
+        for rotations in [(-2, 2), (2, 8), (6, 10)]:
+            with pytest.raises(ValueError):
+                KittenDescriptor(f, (c, c), rotations)
 
 
 class TestJsonRoundTrip:

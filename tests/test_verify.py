@@ -161,7 +161,8 @@ HALF, QUARTER = CoprimeFraction(1, 2), CoprimeFraction(1, 4)
 
 
 def _no_even_shift(original):
-    return lambda f, k: RationalAngle(2 * k, f.N)
+    # build_descriptor's rotation row 4k, without the pi*M/N shift of even N
+    return lambda f: dataclasses.replace(original(f), rotations=tuple(range(0, 4 * f.N, 4)))
 
 
 def _flipped_rotation(original):
@@ -187,9 +188,9 @@ def _kerr_plus(original):
 # One semantic fault per check that the route faults above leave out:
 # (check, group, module, function, fault(original) -> replacement).
 MUTATIONS = [
-    ("golden-states-exact", "gauss", superposition, "component_rotation", _no_even_shift),
+    ("golden-states-exact", "gauss", verify, "build_descriptor", _no_even_shift),
     ("eigen-equation", "fock", fock, "rotation_diagonal", _flipped_rotation),
-    ("series-vs-superposition", "fock", superposition, "component_rotation", _no_even_shift),
+    ("series-vs-superposition", "fock", verify, "build_descriptor", _no_even_shift),
     ("lowering-power-identity", "fock", fock, "mu_factor",
      lambda original: lambda f: -original(f)),
     ("kerr-vector-identity", "fock", fock, "kerr_diagonal", _kerr_plus),
