@@ -161,13 +161,14 @@ def _alpha_within_guard(args: argparse.Namespace) -> complex:
     """--alpha, once it is finite and does not underflow the vacuum amplitude,
     and --dim is positive and keeps the coherent-state tail negligible."""
     alpha = _parse_alpha(args)
+    a2 = abs(alpha) * abs(alpha)  # inf, where a float ** would raise OverflowError
     if coherent_underflows(alpha):
-        args.error(f"--alpha: |alpha|^2 = {abs(alpha) ** 2:.6g} underflows exp(-|alpha|^2/2)")
+        args.error(f"--alpha: |alpha|^2 = {a2:.6g} underflows exp(-|alpha|^2/2)")
     if args.dim < 1:
         args.error(f"--dim must be a positive integer, got {args.dim}")
     if not within_truncation_guard(alpha, args.dim):
         args.error(
-            f"|alpha|^2 = {abs(alpha) ** 2:.6g} violates the truncation guard at "
+            f"|alpha|^2 = {a2:.6g} violates the truncation guard at "
             f"dim = {args.dim}; use --dim {required_dimension(alpha)} or larger")
     return alpha
 

@@ -1,6 +1,6 @@
-"""Truncated Fock-space realization: ladder operators, diagonal unitaries,
-coherent and kitten vectors, and residuals for the defining operator
-identities.
+"""Truncated Fock-space realization: diagonal unitaries, coherent vectors over an
+axis of amplitudes, kitten vectors, and residuals for the defining operator identities,
+compared on the band a[n-1, n] = sqrt(n) of the lowering operator; no dim x dim matrix.
 
 A vector of dimension D holds the coefficients of |0> .. |D-1>.  Truncation
 corrupts exactly one trailing row per application of the lowering operator,
@@ -28,7 +28,6 @@ from .superposition import KittenDescriptor, _branches
 __all__ = [
     "TruncationWarning",
     "aN_identity_residual",
-    "annihilation_matrix",
     "coherent_underflows",
     "coherent_vector",
     "eigen_residual",
@@ -71,20 +70,12 @@ def required_dimension(alpha: complex) -> int:
 def within_truncation_guard(alpha: complex, dim: int) -> bool:
     """|alpha|^2 <= dim - 4*sqrt(dim), clamped at zero so that alpha = 0,
     whose vacuum vector is exact at any dim >= 1, always passes."""
-    return abs(alpha) ** 2 <= max(0.0, dim - 4.0 * math.sqrt(dim))
+    return abs(alpha) * abs(alpha) <= max(0.0, dim - 4.0 * math.sqrt(dim))
 
 
 def coherent_underflows(alpha: complex) -> bool:
     """exp(-|alpha|^2/2) is below the smallest normal float (|alpha|^2 > ~1416.8)."""
-    return math.exp(-0.5 * abs(alpha) ** 2) < sys.float_info.min
-
-
-def annihilation_matrix(dim: int) -> np.ndarray:
-    """Lowering operator a: superdiagonal sqrt(n)."""
-    m = np.zeros((dim, dim), dtype=complex)
-    n = np.arange(1, dim)
-    m[n - 1, n] = np.sqrt(n)
-    return m
+    return math.exp(-0.5 * abs(alpha) * abs(alpha)) < sys.float_info.min
 
 
 def rotation_diagonal(f: CoprimeFraction, dim: int) -> np.ndarray:
@@ -101,30 +92,31 @@ def kerr_diagonal(f: CoprimeFraction, dim: int) -> np.ndarray:
     return unit_phase(f.M * n * (n - 1), f.N)
 
 
-def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
-    """Coherent-state coefficients exp(-|alpha|^2/2) alpha^n / sqrt(n!).
-
-    Computed by the stable recurrence v_{n+1} = v_n * alpha / sqrt(n+1).
-    Emits a TruncationWarning when the Poisson tail beyond the cutoff is
-    not negligible (|alpha|^2 > dim - 4*sqrt(dim)), and raises ValueError
-    when the leading amplitude underflows (``coherent_underflows``).
-    """
+def coherent_vector(alpha, dim: int) -> np.ndarray:
+    """Coherent-state coefficients exp(-|alpha|^2/2) alpha^n / sqrt(n!), shape (..., dim)
+    for an array of amplitudes: the running product of [exp(-|alpha|^2/2), alpha/sqrt(1),
+    ..., alpha/sqrt(dim-1)], so a scalar call equals its row of an array call bit for bit.
+    Guards on the largest |alpha|: ValueError if it is not finite or underflows
+    (``coherent_underflows``), TruncationWarning if |alpha|^2 > dim - 4*sqrt(dim)."""
     if dim < 1:
         raise ValueError("dimension must be positive")
-    if coherent_underflows(alpha):
-        raise ValueError(f"|alpha|^2 = {abs(alpha) ** 2:.6g}: exp(-|alpha|^2/2) underflows")
-    if not within_truncation_guard(alpha, dim):
+    alpha = np.asarray(alpha, dtype=complex)
+    if not np.isfinite(alpha).all():
+        raise ValueError(f"amplitude {alpha[~np.isfinite(alpha)][0]} is not finite")
+    peak = float(np.abs(alpha).max(initial=0.0))
+    if coherent_underflows(peak):
+        raise ValueError(f"|alpha|^2 = {peak * peak:.6g}: exp(-|alpha|^2/2) underflows")
+    if not within_truncation_guard(peak, dim):
         warnings.warn(
-            f"|alpha|^2 = {abs(alpha) ** 2:.3g} exceeds dim - 4*sqrt(dim) = "
-            f"{dim - 4.0 * math.sqrt(dim):.3g}; need dim >= {required_dimension(alpha)}",
+            f"|alpha|^2 = {peak * peak:.3g} exceeds dim - 4*sqrt(dim) = "
+            f"{dim - 4.0 * math.sqrt(dim):.3g}; need dim >= {required_dimension(peak)}",
             TruncationWarning,
             stacklevel=2,
         )
-    v = np.zeros(dim, dtype=complex)
-    v[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(dim - 1):
-        v[n + 1] = v[n] * alpha / math.sqrt(n + 1)
-    return v
+    steps = np.empty(alpha.shape + (dim,), dtype=complex)
+    steps[..., 0] = np.exp(-0.5 * np.abs(alpha) ** 2)
+    steps[..., 1:] = alpha[..., None] / np.sqrt(np.arange(1, dim))
+    return np.cumprod(steps, axis=-1)
 
 
 def _series_phases(f: CoprimeFraction, dim: int) -> np.ndarray:
@@ -139,11 +131,9 @@ def kitten_vector_series(alpha: complex, f: CoprimeFraction, dim: int) -> np.nda
 
 
 def kitten_vector_superposition(alpha: complex, desc: KittenDescriptor, dim: int) -> np.ndarray:
-    """Kitten state as the explicit sum of rotated coherent vectors."""
-    v = np.zeros(dim, dtype=complex)
-    for c, beta in _branches(desc, alpha):
-        v += c * coherent_vector(beta, dim)
-    return v
+    """Kitten state as the explicit sum of rotated coherent vectors, one product."""
+    c, beta = _branches(desc, alpha)
+    return c @ coherent_vector(beta, dim)
 
 
 def mu_factor(f: CoprimeFraction) -> int:
@@ -215,12 +205,13 @@ def kerr_identity_residual(alpha: complex, f: CoprimeFraction, dim: int) -> floa
 
 def kerr_conjugation_residual(f: CoprimeFraction, dim: int) -> float:
     """Matrix form of the Kerr automorphism: |G^{-1} a G - U^{-1} a| / |a| on
-    rows 0 .. D-2 (Frobenius norms), relative so its rounding floor is flat in D."""
+    rows 0 .. D-2 (Frobenius norms), relative so its rounding floor is flat in D.
+    Both sides are zero off the band a[n-1, n] = sqrt(n), which is all they hold."""
     g = kerr_diagonal(f, dim)
-    a = annihilation_matrix(dim)[: dim - 1]
-    conjugated = g.conj()[: dim - 1, None] * a * g[None, :]
-    target = rotation_diagonal(f, dim).conj()[: dim - 1, None] * a
-    return float(np.linalg.norm(conjugated - target) / np.linalg.norm(a))
+    band = np.sqrt(np.arange(1, dim))
+    conjugated = g.conj()[:-1] * band * g[1:]
+    target = rotation_diagonal(f, dim).conj()[:-1] * band
+    return float(np.linalg.norm(conjugated - target) / np.linalg.norm(band))
 
 
 def evolution_fidelity(alpha: complex, f: CoprimeFraction, times: Iterable[float],

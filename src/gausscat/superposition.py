@@ -77,10 +77,10 @@ def build_descriptor(f: CoprimeFraction) -> KittenDescriptor:
                             tuple((4 * k + shift) % (4 * n) for k in range(n)))
 
 
-def _branches(desc: KittenDescriptor, alpha: complex) -> zip:
-    """(c_k, exp(i*pi*r_k/(2N))*alpha) per component, each factor from one vector call."""
-    return zip(_coefficient_values(desc.components),
-               unit_phase(desc.rotations, 2 * desc.fraction.N) * alpha)
+def _branches(desc: KittenDescriptor, alpha: complex) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays c_k and exp(i*pi*r_k/(2N))*alpha over k, each from one vector call."""
+    return (_coefficient_values(desc.components),
+            unit_phase(desc.rotations, 2 * desc.fraction.N) * alpha)
 
 
 def _exact_components(desc: KittenDescriptor) -> zip:

@@ -121,10 +121,10 @@ def hermite_basis(n_max: int, x: np.ndarray) -> np.ndarray:
 
 def psi_coherent(alpha: complex, x) -> np.ndarray:
     """Coherent-state wavefunction
-    pi^{-1/4} exp(-|a|^2/2 - a^2/2 + sqrt(2) a x - x^2/2)."""
+    pi^{-1/4} exp(-|a|^2/2 - a^2/2 + sqrt(2) a x - x^2/2); alpha broadcasts with x."""
     x = np.asarray(x, dtype=float)
     return math.pi ** -0.25 * np.exp(
-        -0.5 * abs(alpha) ** 2 - 0.5 * alpha * alpha
+        -0.5 * np.abs(alpha) ** 2 - 0.5 * alpha * alpha
         + math.sqrt(2.0) * alpha * x - 0.5 * x * x
     )
 
@@ -164,12 +164,10 @@ def psi_cat_F_inverse(alpha: complex, x) -> np.ndarray:
 
 def superposition_wavefunction(alpha: complex, desc: KittenDescriptor, x) -> np.ndarray:
     """Sum of rotated coherent wavefunctions with the descriptor's exact
-    coefficients: sum_k c_k psi_coherent(rot_k * alpha, x)."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape, dtype=complex)
-    for c, beta in _branches(desc, alpha):
-        out += c * psi_coherent(beta, x)
-    return out
+    coefficients, sum_k c_k psi_coherent(rot_k * alpha, x): ``psi_coherent``
+    broadcast over the N amplitudes on a last axis, times the coefficient row."""
+    c, beta = _branches(desc, alpha)
+    return psi_coherent(beta, np.asarray(x, dtype=float)[..., None]) @ c
 
 
 def reduce_angle(phi: float) -> float:

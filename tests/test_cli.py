@@ -191,9 +191,9 @@ class TestWavefunction:
         assert code == 0
         assert out
         lines = err.splitlines()
-        assert lines[0] == "# trapezoid norm = 0.68859874697442292"
+        assert lines[0] == "# trapezoid norm = 0.68859874697442247"
         assert len(lines) == 2 and lines[1].startswith("norm-drift: ")
-        assert "0.68859874697442292" in lines[1] and "1e-06" in lines[1]
+        assert "0.68859874697442247" in lines[1] and "1e-06" in lines[1]
 
     def test_fock_tail_beyond_dim_is_named_as_a_cause(self, capsys):
         # dim 489 is the least that the truncation guard allows at |alpha| = 20; the
@@ -204,9 +204,9 @@ class TestWavefunction:
         assert code == 0
         assert len(out.splitlines()) == 4002
         lines = err.splitlines()
-        assert lines[0] == "# trapezoid norm = 0.99999539663435699"
+        assert lines[0] == "# trapezoid norm = 0.99999539663435588"
         assert len(lines) == 2 and lines[1].startswith("norm-drift: ")
-        assert "0.99999539663435699" in lines[1] and "1e-06" in lines[1]
+        assert "0.99999539663435588" in lines[1] and "1e-06" in lines[1]
         assert "Fock tail beyond --dim" in lines[1]
 
     def test_astronomical_grid_warns_only_norm_drift(self, capsys):
@@ -267,6 +267,11 @@ class TestWavefunction:
           "--format", "json"), "--grid-half-width"),
         (("evolve", "1", "3", "--t", "1e308"), "--t"),
         (("evolve", "1", "3", "--t", "1e15"), "--t"),
+        # finite amplitudes whose |alpha|^2 overflows to inf
+        (("wavefunction", "1", "2", "--alpha=1e200,0"), "--alpha"),
+        (("wavefunction", "1", "2", "--alpha=0,1e160"), "--alpha"),
+        (("evolve", "1", "2", "--alpha=1e200,0"), "--alpha"),
+        (("evolve", "1", "2", "--alpha=0,1e160"), "--alpha"),
     ])
     def test_bad_input_is_usage_error_naming_the_flag(self, capsys, args, flag):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from gausscat import fock
 from gausscat.fock import (
     TruncationWarning,
     aN_identity_residual,
-    annihilation_matrix,
     coherent_underflows,
     coherent_vector,
     eigen_residual,
@@ -44,6 +44,14 @@ def small_fractions_st(draw, n_max=10):
 
 disc_alphas_st = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
                                     allow_infinity=False)
+
+
+def annihilation_matrix(dim):
+    """Dense reference for the lowering operator a: superdiagonal sqrt(n)."""
+    m = np.zeros((dim, dim), dtype=complex)
+    n = np.arange(1, dim)
+    m[n - 1, n] = np.sqrt(n)
+    return m
 
 
 class TestCoherentVector:
@@ -83,6 +91,42 @@ class TestCoherentVector:
 
     def test_normalized_just_below_the_underflow(self):
         assert abs(np.linalg.norm(coherent_vector(37.6, 1800)) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [1e200, 1e160j, 1e155 + 1e155j])
+    def test_huge_finite_amplitude_underflows_without_overflow(self, alpha):
+        # |alpha|^2 is inf here: a float ** would raise OverflowError
+        assert coherent_underflows(alpha) and not within_truncation_guard(alpha, 10 ** 6)
+        with pytest.raises(ValueError, match=r"\|alpha\|\^2 = inf"):
+            coherent_vector(alpha, 8)
+
+    @pytest.mark.parametrize("alpha", [
+        float("nan"), float("inf"), complex(0.0, float("-inf")), complex(float("nan"), 1.0),
+        [0.5, float("nan")], np.array([[1.0, 2.0], [complex(float("inf"), 0.0), 0.0]])])
+    def test_non_finite_amplitude_is_named(self, alpha):
+        with pytest.raises(ValueError, match=r"amplitude .*(nan|inf).* is not finite"):
+            coherent_vector(alpha, 8)
+
+    @given(st.lists(st.complex_numbers(max_magnitude=5.0, allow_nan=False,
+                                       allow_infinity=False), max_size=8))
+    def test_array_call_matches_scalar_calls_bit_for_bit(self, alphas):
+        amplitudes = np.array(alphas, dtype=complex)
+        table = coherent_vector(amplitudes, 64)
+        assert table.shape == (len(alphas), 64)
+        for alpha, row in zip(alphas, table):
+            single = coherent_vector(alpha, 64)
+            assert single.shape == (64,)
+            assert single.tobytes() == row.tobytes()
+
+    def test_amplitude_array_of_any_shape_gains_a_last_axis(self):
+        table = coherent_vector(np.full((2, 3), 0.5), 32)
+        assert table.shape == (2, 3, 32)
+        assert table.tobytes() == np.tile(coherent_vector(0.5, 32), (2, 3, 1)).tobytes()
+
+    def test_guards_apply_to_the_largest_amplitude(self):
+        with pytest.warns(TruncationWarning, match="need dim >= 70"):
+            coherent_vector([0.0, 1.0, 6.0], 16)
+        with pytest.raises(ValueError, match=r"\|alpha\|\^2 = 1482"):
+            coherent_vector([0.0, 38.5j], 1800)
 
     def test_required_dimension_satisfies_guard(self):
         for alpha in (0.5, 2.0, 6.0, 3.0 + 4.0j):
@@ -136,6 +180,16 @@ class TestKittenVectors:
     def test_series_alpha_zero_is_vacuum(self):
         v = kitten_vector_series(0.0, CoprimeFraction(2, 5), 8)
         assert v[0] == 1.0 and not v[1:].any()
+
+    @pytest.mark.parametrize("alpha, m, n", [(1.3, 1, 2), (0.7 - 1.1j, 3, 8), (2.0j, 4, 9)])
+    def test_superposition_matches_per_component_loop(self, alpha, m, n):
+        # reference: one coherent vector per rotated amplitude, added in turn
+        desc = build_descriptor(CoprimeFraction(m, n))
+        loop = np.zeros(64, dtype=complex)
+        for c, r in zip(desc.components, desc.rotations):
+            beta = RationalAngle(r, 2 * n).to_complex() * alpha
+            loop += c.value * coherent_vector(beta, 64)
+        assert np.abs(kitten_vector_superposition(alpha, desc, 64) - loop).max() < 1e-15
 
     def test_superposition_at_alpha_zero(self):
         # all branches collapse onto the vacuum; weights sum to exactly one
@@ -312,6 +366,32 @@ class TestKerrIdentity:
         # an absolute norm over entries of size sqrt(n) gives 1.13e-12 here
         residual = kerr_conjugation_residual(CoprimeFraction(m, n), 2048)
         assert residual <= TOLERANCES["kerr-matrix-identity"]
+
+    @pytest.mark.parametrize("m, n, dim", [(1, 2, 16), (2, 7, 40), (5, 12, 64), (7, 16, 33)])
+    @pytest.mark.parametrize("wrong", [False, True])
+    def test_band_matches_dense_conjugation(self, monkeypatch, m, n, dim, wrong):
+        # reference: the dense dim x dim products on rows 0 .. D-2, with a
+        # faulty Kerr generator as well, so a nonzero residual is compared too
+        if wrong:
+            monkeypatch.setattr(fock, "kerr_diagonal", lambda f, d: unit_phase(
+                f.M * np.arange(d) * (np.arange(d) + 1), f.N))
+        f = CoprimeFraction(m, n)
+        g = fock.kerr_diagonal(f, dim)
+        a = annihilation_matrix(dim)[: dim - 1]
+        conjugated = g.conj()[: dim - 1, None] * a * g[None, :]
+        target = rotation_diagonal(f, dim).conj()[: dim - 1, None] * a
+        dense = np.linalg.norm(conjugated - target) / np.linalg.norm(a)
+        assert kerr_conjugation_residual(f, dim) == pytest.approx(dense, rel=1e-14, abs=1e-17)
+
+    def test_band_residual_memory_is_linear_in_dim(self):
+        # dense dim x dim complex matrices peak at 256 MB here
+        tracemalloc.start()
+        try:
+            kerr_conjugation_residual(CoprimeFraction(5, 12), 2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
 
     @pytest.mark.parametrize("m, n", [(1, 2), (2, 5), (5, 12)])
     def test_wrong_kerr_generator_gives_order_one(self, monkeypatch, m, n):

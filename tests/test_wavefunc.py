@@ -10,7 +10,7 @@ import pytest
 
 from gausscat import wavefunc
 from gausscat.fock import coherent_vector
-from gausscat.gauss_sums import CoprimeFraction
+from gausscat.gauss_sums import CoprimeFraction, RationalAngle
 from gausscat.superposition import build_descriptor
 from gausscat.wavefunc import (
     AliasingWarning,
@@ -101,6 +101,40 @@ class TestPsiCoherent:
         x = np.linspace(-6, 6, 121)
         series = coherent_vector(alpha, 64) @ hermite_basis(63, x)
         assert np.abs(series - psi_coherent(alpha, x)).max() < 1e-9
+
+
+_PENTAGON = build_descriptor(CoprimeFraction(2, 5))
+
+# README: a scalar x gives a 0-d array
+_SCALAR_X_FUNCTIONS = {
+    "psi_coherent": lambda x: psi_coherent(0.7 + 0.2j, x),
+    "psi_cat_P": lambda x: psi_cat_P(0.7 + 0.2j, x),
+    "psi_cat_F": lambda x: psi_cat_F(0.7 + 0.2j, x),
+    "psi_cat_F_inverse": lambda x: psi_cat_F_inverse(0.7 + 0.2j, x),
+    "superposition_wavefunction": lambda x: superposition_wavefunction(1.1, _PENTAGON, x),
+    "mehler_kernel": lambda x: mehler_kernel(x, 0.3, 0.9),
+}
+
+
+class TestArrayShapes:
+    @pytest.mark.parametrize("name", sorted(_SCALAR_X_FUNCTIONS))
+    def test_scalar_x_gives_a_0d_array(self, name):
+        fn = _SCALAR_X_FUNCTIONS[name]
+        value = fn(0.5)
+        assert np.shape(value) == ()
+        assert value == pytest.approx(fn(np.array([0.5]))[0], rel=1e-15)
+
+    @pytest.mark.parametrize("m, n, alpha", [(1, 2, 1.0), (3, 4, 0.6 + 0.2j), (2, 5, -1.3j)])
+    def test_superposition_matches_per_component_loop(self, m, n, alpha):
+        # reference: one coherent wavefunction per rotated amplitude, added in turn
+        x = np.linspace(-5, 5, 21).reshape(3, 7)
+        desc = build_descriptor(CoprimeFraction(m, n))
+        loop = np.zeros(x.shape, dtype=complex)
+        for c, r in zip(desc.components, desc.rotations):
+            loop += c.value * psi_coherent(RationalAngle(r, 2 * n).to_complex() * alpha, x)
+        superposed = superposition_wavefunction(alpha, desc, x)
+        assert superposed.shape == (3, 7)
+        assert np.abs(superposed - loop).max() < 1e-15
 
 
 class TestCatWavefunctions:
