@@ -49,6 +49,16 @@ class TruncationWarning(UserWarning):
     """The coherent-state tail is not negligible at the requested dimension."""
 
 
+def _abs_squared(alpha) -> np.ndarray:
+    """|alpha|^2 of each amplitude as a product (a float ** raises OverflowError);
+    ValueError naming alpha where one is not finite."""
+    with np.errstate(over="ignore"):
+        a2 = np.square(np.abs(alpha))
+    if not np.isfinite(a2).all():
+        raise ValueError(f"alpha: |alpha|^2 = {np.max(a2)} is not finite")
+    return a2
+
+
 def required_dimension(alpha: complex) -> int:
     """Smallest dim that passes ``within_truncation_guard``.
 
@@ -58,7 +68,7 @@ def required_dimension(alpha: complex) -> int:
     return a dim that fails it (as 16 would for |alpha|^2 = 1e-300) or one
     past the smallest that passes.
     """
-    a2 = abs(alpha) ** 2
+    a2 = float(_abs_squared(alpha))
     if a2 == 0:
         return 1
     dim = math.ceil((2.0 + math.sqrt(4.0 + a2)) ** 2)

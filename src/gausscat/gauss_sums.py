@@ -254,13 +254,15 @@ def closed_coefficients(*fractions: CoprimeFraction) -> list[ExactCoefficient]:
     return np.array(shared, dtype=object)[at].ravel().tolist()
 
 
-def _quadratic_numerators(fractions: tuple[CoprimeFraction, ...]) -> tuple[int, np.ndarray]:
-    """The one denominator N of the fractions, and per fraction the numerators
-    over N of its quadratic phases, M*j^2 (N even) or M*j*(j-1) (N odd) mod 2N."""
+def _targets(fractions: tuple[CoprimeFraction, ...]) -> tuple[int, np.ndarray, np.ndarray]:
+    """The one denominator N of the fractions, the table exp(i*pi*r/N), r < 2N, and per
+    fraction the targets exp(-i*pi*q_j/N), gathered from it at -q_j mod 2N, of the
+    quadratic numerators q_j = M*j^2 (N even) or M*j*(j-1) (N odd)."""
     n = _one_denominator(fractions)
     m = np.array([f.M for f in fractions], dtype=np.int64)[:, None]
     j = np.arange(n, dtype=np.int64)
-    return n, m * j * (j if n % 2 == 0 else j - 1) % (2 * n)
+    roots = unit_phase(np.arange(2 * n), n)
+    return n, roots, roots[-m * j * (j if n % 2 == 0 else j - 1) % (2 * n)]
 
 
 # Entries of the direct route's block of exact roots W[k, l] per block of output
@@ -281,22 +283,21 @@ def direct_coefficients(*fractions: CoprimeFraction) -> np.ndarray:
     Gauss sums: one row per fraction, for fractions of one denominator N.
 
     Each term splits exactly as zeta^(2kl) * zeta^(q_l), zeta = exp(-i*pi/N):
-    the cross and quadratic exponents are each reduced mod 2N and index one
-    table of the 2N-th roots of unity, so the block W[k, l] = zeta^(2kl) and
-    the term vector t_l = zeta^(q_l) are exact roots, and the only
+    the cross and quadratic exponents are each negated mod 2N and index the
+    one table of 2N-th roots of unity that ``_targets`` shares with the FFT
+    routes, so the block W[k, l] = zeta^(2kl) and the term vector
+    t_l = zeta^(q_l) (the targets) are exact roots, and the only
     floating-point error is one product per term and the N-term sum of the
     matrix-vector product W @ t.  W is built for one block of output indices
     k at a time (``_k_blocks``) and shared by all fractions, each of which
     takes one product per block: unlike one matrix-matrix product for all
     fractions, it gives the same bits under 1 or 2 BLAS threads.
     """
-    n, quad = _quadratic_numerators(fractions)
+    n, roots, terms = _targets(fractions)
     ell = np.arange(n, dtype=np.int64)
-    roots = unit_phase(np.arange(2 * n), n).conj()
-    terms = roots[quad]
-    rows = np.empty(quad.shape, dtype=complex)
+    rows = np.empty(terms.shape, dtype=complex)
     for block in _k_blocks(n):
-        cross = np.multiply.outer(ell[block], 2 * ell)
+        cross = np.multiply.outer(-2 * ell[block], ell)
         cross %= 2 * n  # in place: one int64 table per block, no temporaries
         w = roots[cross]
         for row, t in zip(rows, terms):

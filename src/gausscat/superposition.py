@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .gauss_sums import (CoprimeFraction, ExactCoefficient, RationalAngle, _coefficient_values,
-                         _quadratic_numerators, closed_coefficients, unit_phase)
+                         _targets, closed_coefficients, unit_phase)
 
 __all__ = [
     "KittenDescriptor",
@@ -88,13 +88,6 @@ def _exact_components(desc: KittenDescriptor) -> zip:
     return zip(desc.components, (RationalAngle(r, 2 * desc.fraction.N) for r in desc.rotations))
 
 
-def _targets(fractions: tuple[CoprimeFraction, ...]) -> tuple[int, np.ndarray]:
-    """N and the target phases exp(-i*pi*q/N) of the quadratic numerators q, one row
-    per fraction, gathered from one table of the 2N-th roots of unity."""
-    n, quad = _quadratic_numerators(fractions)
-    return n, unit_phase(np.arange(2 * n), n)[-quad % (2 * n)]
-
-
 def coefficients_by_inverse_dft(*fractions: CoprimeFraction) -> np.ndarray:
     """Coefficients c_k = (1/N) sum_j t_j exp(-2*pi*i*k*j/N), the inverse DFT of
     the target phases t_j = exp(-i*pi*M*j^2/N) (N even) or exp(-i*pi*M*j*(j-1)/N)
@@ -104,7 +97,7 @@ def coefficients_by_inverse_dft(*fractions: CoprimeFraction) -> np.ndarray:
     from the targets; this is an independent cross-check of both the direct
     summation (exact integer exponents) and the closed forms.
     """
-    n, targets = _targets(fractions)
+    n, _, targets = _targets(fractions)
     return np.fft.fft(targets, axis=1) / n
 
 
@@ -116,7 +109,7 @@ def verify_forward_dft(*fractions: CoprimeFraction, coefficients: np.ndarray) ->
     defining linear system; a perturbed row produces an O(1) error.  The
     forward sums are N times numpy's inverse FFT of each row.
     """
-    n, targets = _targets(fractions)
+    n, _, targets = _targets(fractions)
     c = np.asarray(coefficients, dtype=complex)
     if c.shape != (len(fractions), n):
         raise ValueError(f"expected {len(fractions)} rows of {n} values, got {c.shape}")

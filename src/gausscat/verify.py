@@ -235,20 +235,17 @@ def check_integro_differential(cfg: VerifyConfig) -> list[CheckResult]:
 
 def check_cat_wavefunctions(cfg: VerifyConfig) -> list[CheckResult]:
     """Closed-form cat wavefunctions against their coherent-state
-    superpositions: exact for the parity cat, up to one global constant
-    (fixed at x = 0) for the Fourier cat."""
+    superpositions: the parity cat as it is, the Fourier cat times its exact
+    constant pi^{-1/4}."""
     x = np.linspace(-CAT_X_MAX, CAT_X_MAX, cfg.cat_x_points)
-    mid = cfg.cat_x_points // 2
     desc_p = build_descriptor(CoprimeFraction(1, 2))
     desc_f = build_descriptor(CoprimeFraction(3, 4))
 
     def residuals(alpha: complex) -> tuple[float, float]:
         sup_p = wavefunc.superposition_wavefunction(alpha, desc_p, x)
         sup_f = wavefunc.superposition_wavefunction(alpha, desc_f, x)
-        closed_f = wavefunc.psi_cat_F(alpha, x)
-        scale = sup_f[mid] / closed_f[mid]
         return (np.abs(sup_p - wavefunc.psi_cat_P(alpha, x)).max(),
-                np.abs(sup_f - scale * closed_f).max())
+                np.abs(sup_f - math.pi ** -0.25 * wavefunc.psi_cat_F(alpha, x)).max())
 
     return _sweep("wavefunc", ["cat-wavefunction-parity", "cat-wavefunction-fourier"],
                   map(residuals, cfg.alphas), f"|x| <= {CAT_X_MAX:g}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import kitten_vector_series
+from .fock import _abs_squared, kitten_vector_series
 from .gauss_sums import CoprimeFraction
 from .superposition import KittenDescriptor, _branches
 
@@ -110,7 +110,7 @@ def hermite_basis(n_max: int, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     basis = np.zeros((n_max + 1, x.size))
-    basis[0] = math.pi ** -0.25 * np.exp(-0.5 * np.minimum(np.abs(x), 40.0) ** 2)
+    basis[:1] = math.pi ** -0.25 * np.exp(-0.5 * np.minimum(np.abs(x), 40.0) ** 2)
     if n_max >= 1:
         basis[1] = math.sqrt(2.0) * x * basis[0]
     for n in range(1, n_max):
@@ -124,7 +124,7 @@ def psi_coherent(alpha: complex, x) -> np.ndarray:
     pi^{-1/4} exp(-|a|^2/2 - a^2/2 + sqrt(2) a x - x^2/2); alpha broadcasts with x."""
     x = np.asarray(x, dtype=float)
     return math.pi ** -0.25 * np.exp(
-        -0.5 * np.abs(alpha) ** 2 - 0.5 * alpha * alpha
+        -0.5 * _abs_squared(alpha) - 0.5 * alpha * alpha
         + math.sqrt(2.0) * alpha * x - 0.5 * x * x
     )
 
@@ -137,7 +137,7 @@ def psi_cat_P(alpha: complex, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     return (math.sqrt(2.0) / math.pi ** 0.25
-            * np.exp(0.5 * (alpha * alpha - abs(alpha) ** 2 - x * x))
+            * np.exp(0.5 * (alpha * alpha - _abs_squared(alpha) - x * x))
             * np.cos(math.sqrt(2.0) * alpha * x - math.pi / 4.0))
 
 
@@ -146,11 +146,10 @@ def psi_cat_F(alpha: complex, x) -> np.ndarray:
     e^{-(|a|^2+x^2)/2} (e^{-i a^2/2} cosh((1+i) a x)
                         + e^{i a^2/2 + i pi/4} sinh((1-i) a x)).
 
-    Note this expression is a constant pi^{1/4} times the normalized
-    superposition; comparisons are therefore made up to one global factor.
+    This expression is exactly pi^{1/4} times the normalized 3/4 superposition.
     """
     x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * (abs(alpha) ** 2 + x * x)) * (
+    return np.exp(-0.5 * (_abs_squared(alpha) + x * x)) * (
         np.exp(-0.5j * alpha * alpha) * np.cosh((1.0 + 1.0j) * alpha * x)
         + np.exp(0.5j * alpha * alpha + 0.25j * math.pi) * np.sinh((1.0 - 1.0j) * alpha * x)
     )
@@ -263,16 +262,15 @@ def geneq_residual(alpha: complex, f: CoprimeFraction, grid: GridSpec, dim: int)
 
         (d/dx + x) psi(x) = sqrt(2) alpha [F_phi psi](x)
 
-    for the kitten wavefunction at truncation dim, as a max over interior
-    grid points.  One truncated series c and one basis psi_0 .. psi_{dim-1}
-    serve both sides.  The derivative side is exact (ladder action on the
-    series); the right side is ``frac_fourier`` of the samples sum_n c_n psi_n,
-    which for phi = pi (N = 2) is the parity map psi(-x) with no integration.
+    for the kitten wavefunction at truncation dim, as a max over the whole grid.
+    One series c and one basis psi_0 .. psi_{dim-2} serve both sides, the ladder
+    action (d/dx + x) psi_n = sqrt(2n) psi_{n-1} and ``frac_fourier`` of the series
+    without the top term c_{dim-1} psi_{dim-1}, which the ladder side cannot hold
+    (for phi = pi, N = 2, the parity map psi(-x)); each is exactly
+    sqrt(2) alpha sum_{n <= dim-2} exp(-i phi n) c_n psi_n.
     """
     coeffs = kitten_vector_series(alpha, f, dim)
-    basis = hermite_basis(dim - 1, grid.x())
-    # (d/dx + x) psi_n = sqrt(2n) psi_{n-1}; the top row, which would need the
-    # truncated coefficient c_D, is dropped
-    lhs = (np.sqrt(2.0 * np.arange(1, dim)) * coeffs[1:]) @ basis[:-1]
-    rhs = frac_fourier(WaveSample(grid, coeffs @ basis), f.angle_radians).values
-    return float(np.abs(lhs - math.sqrt(2.0) * alpha * rhs)[1:-1].max())
+    basis = hermite_basis(dim - 2, grid.x())
+    lhs = (np.sqrt(2.0 * np.arange(1, dim)) * coeffs[1:]) @ basis
+    rhs = frac_fourier(WaveSample(grid, coeffs[:-1] @ basis), f.angle_radians).values
+    return float(np.abs(lhs - math.sqrt(2.0) * alpha * rhs).max())

@@ -19,6 +19,8 @@ and asserts the measured value.  The same checks back ``gausscat verify``.
 import pytest
 
 from gausscat.verify import (
+    TOLERANCES,
+    CheckResult,
     VerifyConfig,
     check_cat_wavefunctions,
     check_coefficient_routes,
@@ -34,6 +36,30 @@ from gausscat.verify import (
 
 CFG = VerifyConfig()
 
+# The value of each default check as measured (CI's "Verify report" step prints
+# them the same way, as float.hex).  A value may rise to 100 times its floor,
+# since the residuals sit orders below their tolerances; so the exact zeros
+# must stay 0.
+FLOORS = {
+    "golden-states-exact": "0x0.0p+0",
+    "closed-vs-direct": "0x1.11687a8ae14a3p-53",
+    "closed-vs-inverse-dft": "0x1.94c583ada5b53p-53",
+    "closed-magnitude-exact": "0x0.0p+0",
+    "forward-dft-identity": "0x1.0b5f559265fd0p-49",
+    "eigen-equation": "0x1.f6760be45a3f9p-52",
+    "series-vs-superposition": "0x1.2e63cd885bd61p-51",
+    "lowering-power-identity": "0x0.0p+0",
+    "kerr-vector-identity": "0x1.11fe22191e4b9p-53",
+    "kerr-matrix-identity": "0x1.90e87e2e5dcd6p-53",
+    "time-evolution": "0x1.6414f28c8c61bp-50",
+    "kernel-spectral": "0x1.dbd2f298503a0p-49",
+    "integro-differential": "0x1.d692f95c389fdp-50",
+    "integro-differential-parity": "0x1.0000000000000p-48",
+    "cat-wavefunction-parity": "0x1.4000000000000p-51",
+    "cat-wavefunction-fourier": "0x1.8bd171a07e38ap-51",
+}
+FLOOR_FACTOR = 100
+
 
 def _assert_and_report(criterion: int, results: list) -> None:
     for r in results:
@@ -43,6 +69,24 @@ def _assert_and_report(criterion: int, results: list) -> None:
     failed = [r for r in results if not r.passed]
     assert not failed, f"criterion {criterion} failed: " + ", ".join(
         f"{r.name}: {r.value:.3e} > {r.tolerance:.1e}" for r in failed)
+    risen = [r for r in results if not r.value <= FLOOR_FACTOR * float.fromhex(FLOORS[r.name])]
+    assert not risen, f"criterion {criterion} rose above {FLOOR_FACTOR}x its floor: " + ", ".join(
+        f"{r.name}: {r.value:.3e} > {FLOOR_FACTOR} x {float.fromhex(FLOORS[r.name]):.3e}"
+        for r in risen)
+
+
+def test_floor_table_names_every_check():
+    assert FLOORS.keys() == TOLERANCES.keys()
+
+
+@pytest.mark.parametrize("name, value", [
+    ("closed-vs-direct", 101 * float.fromhex(FLOORS["closed-vs-direct"])),
+    ("lowering-power-identity", 5e-324),
+], ids=["101x-floor", "nonzero-exact-zero"])
+def test_a_value_within_tolerance_above_its_floor_fails(name, value):
+    result = CheckResult("gauss", name, value, TOLERANCES[name], value <= TOLERANCES[name])
+    with pytest.raises(AssertionError, match=f"100x its floor: {name}"):
+        _assert_and_report(0, [result])
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,7 @@ from gausscat.gauss_sums import (
     RationalAngle,
     _closed_numerators,
     _k_blocks,
-    _quadratic_numerators,
+    _targets,
     closed_coefficients,
     direct_coefficients,
     jacobi_symbol,
@@ -537,8 +537,7 @@ class TestMultiBlockRoutes:
 
     def test_inverse_dft(self, m, n, blocks):
         f = CoprimeFraction(m, n)
-        _, quad = _quadratic_numerators((f,))
-        targets = unit_phase(-quad, n)
+        _, _, targets = _targets((f,))
         want = (targets @ _dense_dft(n).T) / n
         assert np.abs(coefficients_by_inverse_dft(f) - want).max() <= 1e-15
 
@@ -547,8 +546,7 @@ class TestMultiBlockRoutes:
         # with no accumulated rounding, so the O(1) residuals compare well; the
         # ~1e-15 residual of the true coefficients would compare noise with noise
         f = CoprimeFraction(m, n)
-        _, quad = _quadratic_numerators((f,))
-        targets = unit_phase(-quad, n)
+        _, _, targets = _targets((f,))
         for k in (0, 1, n // 2, n - 1):
             c = np.zeros((1, n), dtype=complex)
             c[0, k] = 1.0

@@ -14,8 +14,7 @@ from gausscat.gauss_sums import (
     CoprimeFraction,
     ExactCoefficient,
     RationalAngle,
-    _quadratic_numerators,
-    unit_phase,
+    _targets,
 )
 from gausscat.superposition import (
     KittenDescriptor,
@@ -201,8 +200,7 @@ def _exact_phase_sequence(f):
 
 def _target_values(f):
     """The target phases of the inverse-DFT route, as it evaluates them."""
-    n, quad = _quadratic_numerators((f,))
-    return unit_phase(-quad[0], n)
+    return _targets((f,))[2][0]
 
 
 class TestPhaseSequence:

@@ -233,6 +233,20 @@ class TestMutationMatrix:
         result = self._results(group)[check]
         assert not result.passed, result
 
+    def test_scaled_fourier_superposition_turns_cat_fourier_red(self, monkeypatch):
+        # a factor 1 + 1e-9 on the 3/4 superposition alone, which a constant
+        # fitted at x = 0 would absorb; the parity cat is untouched
+        original = wavefunc.superposition_wavefunction
+
+        def scaled(alpha, desc, x):
+            out = original(alpha, desc, x)
+            return out * (1 + 1e-9) if desc.fraction == CoprimeFraction(3, 4) else out
+
+        monkeypatch.setattr(wavefunc, "superposition_wavefunction", scaled)
+        results = self._results("wavefunc")
+        assert not results["cat-wavefunction-fourier"].passed
+        assert results["cat-wavefunction-parity"].passed
+
 
 class TestSharedTransform:
     """kernel-spectral and integro-differential measure one trapezoid transform,
@@ -281,14 +295,15 @@ class TestSharedTransform:
 class TestValuesEvaluatedOnce:
     def test_gauss_sweep_evaluates_each_shared_value_once(self, monkeypatch):
         # the values passed to unit_phase: one per distinct closed value of each
-        # N, and the direct route's one table of 4N roots per N; the golden
-        # descriptors are compared as exact phases and evaluate nothing
+        # N, and the one table of 2N roots that _targets builds for each of the
+        # three other routes per N; the golden descriptors are compared as exact
+        # phases and evaluate nothing
         cfg = VerifyConfig(coeff_n_max=60)
         distinct = sum(
             np.unique(gauss_sums._closed_numerators(
                 *(CoprimeFraction(m, n) for m in range(1, n) if math.gcd(m, n) == 1))).size
             for n in range(2, cfg.coeff_n_max + 1))
-        roots = sum(4 * n for n in range(2, cfg.coeff_n_max + 1))
+        roots = sum(3 * 2 * n for n in range(2, cfg.coeff_n_max + 1))
         evaluated = []
         original = gauss_sums.unit_phase
 
@@ -299,7 +314,7 @@ class TestValuesEvaluatedOnce:
 
         monkeypatch.setattr(gauss_sums, "unit_phase", counted)
         assert all(r.passed for r in run_checks(cfg, ["gauss"]))
-        assert 0 < sum(evaluated) <= distinct + roots
+        assert sum(evaluated) == distinct + roots
 
 
 class TestClosedRouteBatched:

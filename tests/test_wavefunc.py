@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gausscat import wavefunc
-from gausscat.fock import coherent_vector
+from gausscat.fock import coherent_vector, required_dimension
 from gausscat.gauss_sums import CoprimeFraction, RationalAngle
 from gausscat.superposition import build_descriptor
 from gausscat.wavefunc import (
@@ -137,6 +137,28 @@ class TestArrayShapes:
         assert np.abs(superposed - loop).max() < 1e-15
 
 
+# every function of one amplitude whose |alpha|^2 a float ** would overflow
+_AMPLITUDE_FUNCTIONS = {
+    "required_dimension": required_dimension,
+    "psi_coherent": lambda alpha: psi_coherent(alpha, 0.0),
+    "psi_cat_P": lambda alpha: psi_cat_P(alpha, 0.0),
+    "psi_cat_F": lambda alpha: psi_cat_F(alpha, 0.0),
+    "psi_cat_F_inverse": lambda alpha: psi_cat_F_inverse(alpha, 0.0),
+}
+
+
+class TestHugeAmplitudes:
+    @pytest.mark.parametrize("alpha", [1e200, 1e200j])
+    @pytest.mark.parametrize("name", sorted(_AMPLITUDE_FUNCTIONS))
+    def test_infinite_abs_squared_is_a_value_error_naming_alpha(self, name, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            _AMPLITUDE_FUNCTIONS[name](alpha)
+
+    def test_finite_abs_squared_keeps_the_coherent_value_finite(self):
+        # |alpha|^2 = 1e300 cancels -alpha^2/2 exactly at x = 0
+        assert psi_coherent(1e150j, 0.0) == math.pi ** -0.25
+
+
 class TestCatWavefunctions:
     @pytest.mark.parametrize("alpha", [1.0, 0.7 + 0.3j, 1.8])
     def test_parity_cat_matches_superposition(self, alpha):
@@ -162,9 +184,8 @@ class TestCatWavefunctions:
         x = np.linspace(-6, 6, 241)
         desc = build_descriptor(CoprimeFraction(3, 4))
         superposed = superposition_wavefunction(alpha, desc, x)
-        closed = psi_cat_F(alpha, x)
-        scale = superposed[120] / closed[120]
-        assert np.abs(superposed - scale * closed).max() < 1e-10
+        # the closed form is exactly pi^{1/4} times the superposition: no fitted constant
+        assert np.abs(superposed - math.pi ** -0.25 * psi_cat_F(alpha, x)).max() < 1e-14
 
     def test_inverse_variant_conjugation_rule(self):
         x = np.linspace(-5, 5, 101)
@@ -175,9 +196,7 @@ class TestCatWavefunctions:
         x = np.linspace(-6, 6, 241)
         desc = build_descriptor(CoprimeFraction(1, 4))
         superposed = superposition_wavefunction(1.1, desc, x)
-        closed = psi_cat_F_inverse(1.1, x)
-        scale = superposed[120] / closed[120]
-        assert np.abs(superposed - scale * closed).max() < 1e-10
+        assert np.abs(superposed - math.pi ** -0.25 * psi_cat_F_inverse(1.1, x)).max() < 1e-14
 
 
 class TestMehlerKernel:
@@ -319,4 +338,14 @@ class TestGeneqResidual:
             monkeypatch.setattr(wavefunc, name, counted)
         assert geneq_residual(1.0, CoprimeFraction(1, 4), STANDARD_GRID, 64) < 1e-5
         assert len(calls["kitten_vector_series"]) == 1
-        assert [n_max for n_max, _ in calls["hermite_basis"]] == [63]
+        assert [n_max for n_max, _ in calls["hermite_basis"]] == [62]
+
+    @pytest.mark.parametrize("m, n", [(1, 4), (1, 3), (1, 2), (2, 7)])
+    def test_exact_at_the_edge_of_the_truncation_guard(self, m, n):
+        # |alpha|^2 = 26 <= 64 - 4*8: both sides drop the top term c_63 psi_63,
+        # which transformed alone left 6.2e-5
+        assert geneq_residual(5 + 1j, CoprimeFraction(m, n), GridSpec(16.0, 2001), 64) <= 1e-12
+
+    def test_one_term_series_has_both_sides_zero(self):
+        assert hermite_basis(-1, STANDARD_GRID.x()).shape == (0, STANDARD_GRID.points)
+        assert geneq_residual(0.0, CoprimeFraction(1, 4), STANDARD_GRID, 1) == 0.0
