@@ -124,7 +124,7 @@ def coherent_vector(alpha, dim: int) -> np.ndarray:
             stacklevel=2,
         )
     steps = np.empty(alpha.shape + (dim,), dtype=complex)
-    steps[..., 0] = np.exp(-0.5 * np.abs(alpha) ** 2)
+    steps[..., 0] = np.exp(-0.5 * _abs_squared(alpha))
     steps[..., 1:] = alpha[..., None] / np.sqrt(np.arange(1, dim))
     return np.cumprod(steps, axis=-1)
 

@@ -14,8 +14,8 @@ an exact carrier for rational multiples of pi, the one primitive that turns
 integer phase numerators into roots of unity, and two of the three
 coefficient routes: plain summation, one matrix-vector product per fraction
 against a block of exact roots shared by all fractions of one N, and the
-closed forms, one integer phase table per N with at most 8N distinct values
-(the inverse DFT is in :mod:`gausscat.superposition`).
+closed forms, one integer phase table per N that the verify sweep evaluates
+whole (the inverse DFT is in :mod:`gausscat.superposition`).
 
 Every phase that is known exactly is kept as a reduced rational multiple
 of pi (:class:`RationalAngle`) and converted to a complex number only at
@@ -232,26 +232,17 @@ def _one_denominator(fractions: tuple[CoprimeFraction, ...]) -> int:
     return dens.pop()
 
 
-def _closed_distinct(*fractions: CoprimeFraction) -> tuple[list[ExactCoefficient], np.ndarray]:
-    """The distinct closed forms of fractions of one N, and the index ``at``: c_k of
-    fraction r is ``shared[at[r, k]]``.  Counting over [0, 8N) needs no sort."""
-    table = _closed_numerators(*fractions)
-    n, present = table.shape[1], np.bincount(table.ravel()) > 0
-    shared = [ExactCoefficient(n, RationalAngle(v, 4 * n)) for v in np.flatnonzero(present).tolist()]
-    return shared, (np.cumsum(present) - 1)[table]
+def closed_coefficients(f: CoprimeFraction) -> list[ExactCoefficient]:
+    """All N closed-form coefficients c_0 .. c_{N-1} of one fraction as exact values.
 
-
-def closed_coefficients(*fractions: CoprimeFraction) -> list[ExactCoefficient]:
-    """All N closed-form coefficients c_0 .. c_{N-1} of each fraction as exact
-    values, for fractions of one denominator N: one flat list, in which
-    fraction r holds items r*N .. r*N + N - 1.
-
-    It is a view of one (len(fractions), N) numerator table, exact: the
+    It is a view of the fraction's row of the numerator table, exact: the
     quarter-integer terms N/4 and (N-1)/4 are carried over 4N as integers.
     Equal values are one frozen object per call; nothing is kept between calls.
     """
-    shared, at = _closed_distinct(*fractions)
-    return np.array(shared, dtype=object)[at].ravel().tolist()
+    (row,), n = _closed_numerators(f), f.N
+    present = np.bincount(row) > 0
+    shared = [ExactCoefficient(n, RationalAngle(v, 4 * n)) for v in np.flatnonzero(present).tolist()]
+    return np.array(shared, dtype=object)[(np.cumsum(present) - 1)[row]].tolist()
 
 
 def _targets(fractions: tuple[CoprimeFraction, ...]) -> tuple[int, np.ndarray, np.ndarray]:

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import fock, wavefunc
 # closed_coefficients is not called here: perfbench/selftest.py's rebinding list needs it bound
-from .gauss_sums import (CoprimeFraction, _closed_distinct, _coefficient_values,
-                         closed_coefficients, direct_coefficients)
+from .gauss_sums import (CoprimeFraction, _closed_numerators, closed_coefficients,
+                         direct_coefficients, unit_phase)
 from .superposition import (
     build_descriptor,
     coefficients_by_inverse_dft,
@@ -139,20 +139,22 @@ def check_golden_states(cfg: VerifyConfig) -> list[CheckResult]:
 
 
 def _route_residuals(fractions: list[CoprimeFraction]) -> np.ndarray:
-    shared, at = _closed_distinct(*fractions)
-    values = _coefficient_values(shared)[at]
+    n = fractions[0].N
+    values = unit_phase(_closed_numerators(*fractions), 4 * n) / math.sqrt(n)
+    direct = direct_coefficients(*fractions)
     return np.column_stack([
-        np.abs(values - direct_coefficients(*fractions)).max(axis=1),
+        np.abs(values - direct).max(axis=1),
         np.abs(values - coefficients_by_inverse_dft(*fractions)).max(axis=1),
-        (np.array([c.inv_sqrt_n for c in shared])[at] != fractions[0].N).sum(axis=1),
+        (np.rint(n * np.abs(direct) ** 2) != 1).sum(axis=1),
         verify_forward_dft(*fractions, coefficients=values)])
 
 
 def check_coefficient_routes(cfg: VerifyConfig) -> list[CheckResult]:
     """One sweep over all coprime fractions with N <= coeff_n_max comparing
-    the closed form against the direct sum and the inverse DFT, checking
-    the exact magnitude of the closed route (the value is the most wrong
-    magnitudes in one fraction), and verifying the forward transform
+    the closed form, evaluated from its integer numerator table, against the
+    direct sum and the inverse DFT, checking the magnitude law N*|c_k|^2 = 1
+    on the direct sums as an integer after rounding (the value is the most
+    k that break it in one fraction), and verifying the forward transform
     identity.  Each route runs once per denominator, with one row per fraction."""
     names = ["closed-vs-direct", "closed-vs-inverse-dft", "closed-magnitude-exact",
              "forward-dft-identity"]
@@ -235,17 +237,19 @@ def check_integro_differential(cfg: VerifyConfig) -> list[CheckResult]:
 
 def check_cat_wavefunctions(cfg: VerifyConfig) -> list[CheckResult]:
     """Closed-form cat wavefunctions against their coherent-state
-    superpositions: the parity cat as it is, the Fourier cat times its exact
-    constant pi^{-1/4}."""
+    superpositions: the parity cat as it is, and the Fourier cat and its
+    inverse variant times their exact constant pi^{-1/4}, against the 3/4 and
+    the 1/4 superposition in one column."""
     x = np.linspace(-CAT_X_MAX, CAT_X_MAX, cfg.cat_x_points)
-    desc_p = build_descriptor(CoprimeFraction(1, 2))
-    desc_f = build_descriptor(CoprimeFraction(3, 4))
+    cats = [(build_descriptor(CoprimeFraction(m, n)), constant, closed)
+            for m, n, constant, closed in ((1, 2, 1.0, wavefunc.psi_cat_P),
+                                           (3, 4, math.pi ** -0.25, wavefunc.psi_cat_F),
+                                           (1, 4, math.pi ** -0.25, wavefunc.psi_cat_F_inverse))]
 
     def residuals(alpha: complex) -> tuple[float, float]:
-        sup_p = wavefunc.superposition_wavefunction(alpha, desc_p, x)
-        sup_f = wavefunc.superposition_wavefunction(alpha, desc_f, x)
-        return (np.abs(sup_p - wavefunc.psi_cat_P(alpha, x)).max(),
-                np.abs(sup_f - math.pi ** -0.25 * wavefunc.psi_cat_F(alpha, x)).max())
+        off = [np.abs(wavefunc.superposition_wavefunction(alpha, desc, x)
+                      - constant * closed(alpha, x)).max() for desc, constant, closed in cats]
+        return off[0], max(off[1:])
 
     return _sweep("wavefunc", ["cat-wavefunction-parity", "cat-wavefunction-fourier"],
                   map(residuals, cfg.alphas), f"|x| <= {CAT_X_MAX:g}")

@@ -133,12 +133,13 @@ def psi_cat_P(alpha: complex, x) -> np.ndarray:
     """Closed form of the two-component parity cat wavefunction:
     sqrt(2)/pi^{1/4} exp((a^2 - |a|^2 - x^2)/2) cos(sqrt(2) a x - pi/4).
 
+    The cosine is two exponentials with the Gaussian inside each: no factor overflows alone.
     Substituting alpha -> -i*alpha gives the Yurke-Stoler state.
     """
     x = np.asarray(x, dtype=float)
-    return (math.sqrt(2.0) / math.pi ** 0.25
-            * np.exp(0.5 * (alpha * alpha - _abs_squared(alpha) - x * x))
-            * np.cos(math.sqrt(2.0) * alpha * x - math.pi / 4.0))
+    gauss = 0.5 * (alpha * alpha - _abs_squared(alpha) - x * x)
+    z = 1j * (math.sqrt(2.0) * alpha * x - math.pi / 4.0)
+    return (np.exp(gauss + z) + np.exp(gauss - z)) / (math.sqrt(2.0) * math.pi ** 0.25)
 
 
 def psi_cat_F(alpha: complex, x) -> np.ndarray:
@@ -147,12 +148,13 @@ def psi_cat_F(alpha: complex, x) -> np.ndarray:
                         + e^{i a^2/2 + i pi/4} sinh((1-i) a x)).
 
     This expression is exactly pi^{1/4} times the normalized 3/4 superposition.
+    cosh and sinh are two exponentials each, with the Gaussian inside each term.
     """
     x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * (_abs_squared(alpha) + x * x)) * (
-        np.exp(-0.5j * alpha * alpha) * np.cosh((1.0 + 1.0j) * alpha * x)
-        + np.exp(0.5j * alpha * alpha + 0.25j * math.pi) * np.sinh((1.0 - 1.0j) * alpha * x)
-    )
+    gauss = -0.5 * (_abs_squared(alpha) + x * x)
+    c, s = gauss - 0.5j * alpha * alpha, gauss + 0.5j * alpha * alpha + 0.25j * math.pi
+    u, v = (1.0 + 1.0j) * alpha * x, (1.0 - 1.0j) * alpha * x
+    return 0.5 * (np.exp(c + u) + np.exp(c - u) + np.exp(s + v) - np.exp(s - v))
 
 
 def psi_cat_F_inverse(alpha: complex, x) -> np.ndarray:

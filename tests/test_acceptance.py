@@ -5,7 +5,7 @@ and asserts the measured value.  The same checks back ``gausscat verify``.
 
   1. exact reproduction of the hand-derived reference states
   2. triple-route coefficient agreement over all coprime M/N, N <= 200,
-     with exact closed-route magnitudes
+     and the magnitude law N*|c_k|^2 = 1 on the direct sums
   3. forward DFT identity over the same sweep
   4. Fock eigen-equation residual, N <= 12, three amplitudes, dim 64
   5. series vs. superposition equivalence over the same sweep
@@ -55,8 +55,8 @@ FLOORS = {
     "kernel-spectral": "0x1.dbd2f298503a0p-49",
     "integro-differential": "0x1.d692f95c389fdp-50",
     "integro-differential-parity": "0x1.0000000000000p-48",
-    "cat-wavefunction-parity": "0x1.4000000000000p-51",
-    "cat-wavefunction-fourier": "0x1.8bd171a07e38ap-51",
+    "cat-wavefunction-parity": "0x1.8000000000000p-52",
+    "cat-wavefunction-fourier": "0x1.65c55827df1d2p-51",
 }
 FLOOR_FACTOR = 100
 

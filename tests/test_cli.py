@@ -326,8 +326,10 @@ class TestEvolve:
 
 def _flip_odd_odd_sign(monkeypatch):
     """Drop-in mutation: negate every odd-N, odd-M closed coefficient by
-    adding a half turn (4N over the denominator 4N) to its phase numerator."""
+    adding a half turn (4N over the denominator 4N) to its phase numerator,
+    in the table that closed_coefficients and the verify sweep both read."""
     import gausscat.gauss_sums as gs
+    from gausscat import verify
 
     original = gs._closed_numerators
 
@@ -337,7 +339,8 @@ def _flip_odd_odd_sign(monkeypatch):
         odd_odd = np.array([n % 2 == 1 and f.M % 2 == 1 for f in fractions])
         return (nums + 4 * n * odd_odd[:, None]) % (8 * n)
 
-    monkeypatch.setattr(gs, "_closed_numerators", mutated)
+    for module in (gs, verify):
+        monkeypatch.setattr(module, "_closed_numerators", mutated)
 
 
 class TestMutationDetection:

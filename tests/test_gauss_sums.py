@@ -436,14 +436,17 @@ class TestClosedRoute:
             assert closed_coefficients(f) == want, f
 
     def test_values_shared_within_one_order(self):
-        one, two = CoprimeFraction(1, 7), CoprimeFraction(2, 7)
-        both = closed_coefficients(one, two)
-        pairs = [(a, b) for a in both[:7] for b in both[7:] if a == b]
-        assert pairs and all(a is b for a, b in pairs)
+        # 1/8 has 8 coefficients but 4 distinct values, each one object
+        one = closed_coefficients(CoprimeFraction(1, 8))
+        assert len(one) == 8 and len(set(one)) == len({id(c) for c in one}) == 4
         # nothing outlives a call: equal values, new objects
-        again = closed_coefficients(one)
-        assert again == both[:7]
-        assert not any(a is b for a, b in zip(again, both))
+        again = closed_coefficients(CoprimeFraction(1, 8))
+        assert again == one
+        assert not any(a is b for a, b in zip(again, one))
+
+    def test_one_fraction_per_call(self):
+        with pytest.raises(TypeError):
+            closed_coefficients(CoprimeFraction(1, 7), CoprimeFraction(2, 7))
 
     def test_one_call_builds_at_most_n_values(self, monkeypatch):
         # the closed route is exact: it evaluates no phase at all, and a value
@@ -461,14 +464,6 @@ class TestClosedRoute:
         assert sum(evaluated) == 0
         assert abs(coeffs[0].value) == pytest.approx(1 / math.sqrt(4001))
         assert sum(evaluated) == 1
-
-    @pytest.mark.parametrize("n", [12, 101, 200])
-    def test_rows_of_one_denominator_match_single_calls(self, n):
-        fractions = [CoprimeFraction(m, n) for m in range(1, n) if math.gcd(m, n) == 1]
-        flat = closed_coefficients(*fractions)
-        assert len(flat) == len(fractions) * n
-        for r, f in enumerate(fractions):
-            assert flat[r * n:(r + 1) * n] == closed_coefficients(f)
 
     @given(coprime_fractions_st(n_max=60), st.integers(0, 59))
     def test_closed_matches_direct(self, f, k):
@@ -504,7 +499,7 @@ class TestClosedRoute:
 
 
 @pytest.mark.parametrize("route", [
-    closed_coefficients, direct_coefficients, coefficients_by_inverse_dft,
+    _closed_numerators, direct_coefficients, coefficients_by_inverse_dft,
     lambda *fractions: verify_forward_dft(*fractions, coefficients=np.zeros((2, 3)))])
 def test_every_route_rejects_mixed_or_no_denominator(route):
     with pytest.raises(ValueError, match=r"^need fractions of one denominator, got \[3, 4\]$"):

@@ -10,7 +10,7 @@ import pytest
 
 import gausscat
 from gausscat import fock, gauss_sums, superposition, verify, wavefunc
-from gausscat.gauss_sums import CoprimeFraction, RationalAngle
+from gausscat.gauss_sums import CoprimeFraction
 from gausscat.verify import VerifyConfig, run_checks
 from gausscat.wavefunc import GridSpec
 
@@ -81,29 +81,19 @@ class TestNanFails:
         assert results["closed-vs-inverse-dft"].passed
 
 
-def _plant_closed(original, target, k, wrong):
-    """Wrap ``_closed_distinct`` so that coefficient k of ``target`` alone
-    becomes wrong(c): one more shared object, and one index pointed at it
-    (the old object stays shared by the other coefficients with its value)."""
-    def planted(*fractions):
-        shared, at = original(*fractions)
-        if target in fractions:
-            row = fractions.index(target)
-            shared.append(wrong(shared[at[row, k]]))
-            at[row, k] = len(shared) - 1
-        return shared, at
-    return planted
-
-
 class TestWrongClosedValueFails:
     def test_one_phase_beyond_the_golden_table(self, monkeypatch):
-        # the closed values are shared within one call; a wrong one among
-        # those the sweep reads must still turn the check red
-        def wrong(c):
-            return dataclasses.replace(c, phase=RationalAngle(c.phase.num + 1, c.phase.den))
+        # one numerator wrong, of 7/101 at k = 3, in the table the sweep reads;
+        # the golden descriptors read their own rows and stay right
+        original, target = verify._closed_numerators, CoprimeFraction(7, 101)
 
-        planted = _plant_closed(verify._closed_distinct, CoprimeFraction(7, 101), 3, wrong)
-        monkeypatch.setattr(verify, "_closed_distinct", planted)
+        def planted(*fractions):
+            table = original(*fractions)
+            if target in fractions:
+                table[fractions.index(target), 3] += 1
+            return table
+
+        monkeypatch.setattr(verify, "_closed_numerators", planted)
         results = {r.name: r for r in run_checks(VerifyConfig(coeff_n_max=101), ["gauss"])}
         assert not results["closed-vs-direct"].passed
         assert results["closed-magnitude-exact"].passed
@@ -143,14 +133,19 @@ class TestRouteFaultsFail:
         assert results["closed-vs-inverse-dft"].passed
 
     def test_wrong_magnitude_fails_closed_magnitude_exact(self, monkeypatch):
+        # the direct row of 5/11 scaled by sqrt(2): N*|c_k|^2 = 2 at all 11 k
         target = CoprimeFraction(5, 11)
 
         def planted(original):
-            return _plant_closed(original, target, 3,
-                                 lambda c: dataclasses.replace(c, inv_sqrt_n=target.N + 1))
+            def scaled(*fractions):
+                rows = original(*fractions)
+                if target in fractions:
+                    rows[fractions.index(target)] *= math.sqrt(2.0)
+                return rows
+            return scaled
 
-        results = _gauss_results(monkeypatch, "_closed_distinct", planted)
-        assert results["closed-magnitude-exact"].value == 1.0
+        results = _gauss_results(monkeypatch, "direct_coefficients", planted)
+        assert results["closed-magnitude-exact"].value == 11.0
         assert not results["closed-magnitude-exact"].passed
         assert results["golden-states-exact"].passed
 
@@ -233,17 +228,28 @@ class TestMutationMatrix:
         result = self._results(group)[check]
         assert not result.passed, result
 
-    def test_scaled_fourier_superposition_turns_cat_fourier_red(self, monkeypatch):
-        # a factor 1 + 1e-9 on the 3/4 superposition alone, which a constant
-        # fitted at x = 0 would absorb; the parity cat is untouched
+    def _scaled_superposition(self, monkeypatch, fraction):
+        """The wavefunc group with a factor 1 + 1e-9 on the superposition of
+        ``fraction`` alone."""
         original = wavefunc.superposition_wavefunction
 
         def scaled(alpha, desc, x):
             out = original(alpha, desc, x)
-            return out * (1 + 1e-9) if desc.fraction == CoprimeFraction(3, 4) else out
+            return out * (1 + 1e-9) if desc.fraction == fraction else out
 
         monkeypatch.setattr(wavefunc, "superposition_wavefunction", scaled)
-        results = self._results("wavefunc")
+        return self._results("wavefunc")
+
+    def test_scaled_fourier_superposition_turns_cat_fourier_red(self, monkeypatch):
+        # the 3/4 superposition, which a constant fitted at x = 0 would absorb;
+        # the parity cat is untouched
+        results = self._scaled_superposition(monkeypatch, CoprimeFraction(3, 4))
+        assert not results["cat-wavefunction-fourier"].passed
+        assert results["cat-wavefunction-parity"].passed
+
+    def test_scaled_inverse_fourier_superposition_turns_cat_fourier_red(self, monkeypatch):
+        # the 1/4 superposition, the one psi_cat_F_inverse closes
+        results = self._scaled_superposition(monkeypatch, CoprimeFraction(1, 4))
         assert not results["cat-wavefunction-fourier"].passed
         assert results["cat-wavefunction-parity"].passed
 
@@ -294,15 +300,13 @@ class TestSharedTransform:
 
 class TestValuesEvaluatedOnce:
     def test_gauss_sweep_evaluates_each_shared_value_once(self, monkeypatch):
-        # the values passed to unit_phase: one per distinct closed value of each
-        # N, and the one table of 2N roots that _targets builds for each of the
-        # three other routes per N; the golden descriptors are compared as exact
-        # phases and evaluate nothing
+        # the values passed to unit_phase: the whole closed table of each N,
+        # phi(N) rows of N, and the one table of 2N roots that _targets builds
+        # for each of the three other routes per N; the golden descriptors are
+        # compared as exact phases and evaluate nothing
         cfg = VerifyConfig(coeff_n_max=60)
-        distinct = sum(
-            np.unique(gauss_sums._closed_numerators(
-                *(CoprimeFraction(m, n) for m in range(1, n) if math.gcd(m, n) == 1))).size
-            for n in range(2, cfg.coeff_n_max + 1))
+        closed = sum(sum(math.gcd(m, n) == 1 for m in range(1, n)) * n
+                     for n in range(2, cfg.coeff_n_max + 1))
         roots = sum(3 * 2 * n for n in range(2, cfg.coeff_n_max + 1))
         evaluated = []
         original = gauss_sums.unit_phase
@@ -312,15 +316,16 @@ class TestValuesEvaluatedOnce:
             evaluated.append(out.size)
             return out
 
-        monkeypatch.setattr(gauss_sums, "unit_phase", counted)
+        for module in (gauss_sums, verify):
+            monkeypatch.setattr(module, "unit_phase", counted)
         assert all(r.passed for r in run_checks(cfg, ["gauss"]))
-        assert sum(evaluated) == distinct + roots
+        assert sum(evaluated) == closed + roots
 
 
 class TestClosedRouteBatched:
     def test_sweep_builds_no_flat_closed_list(self, monkeypatch):
-        # the sweep reads the closed values through an index; only the golden
-        # descriptors still ask for the flat list of objects
+        # the sweep evaluates the closed table itself; only the golden
+        # descriptors still ask for exact objects
         original = gauss_sums.closed_coefficients
         items = []
 
@@ -338,15 +343,13 @@ class TestClosedRouteBatched:
 
     @pytest.mark.parametrize("n", [12, 101, 200])
     def test_indexed_values_match_the_flat_list(self, n):
+        # the sweep's closed rows, evaluated from the table, are bit for bit
+        # the values of each fraction's exact coefficients
         fractions = [CoprimeFraction(m, n) for m in range(1, n) if math.gcd(m, n) == 1]
-        shared, at = verify._closed_distinct(*fractions)
-        flat = gauss_sums.closed_coefficients(*fractions)
-        shape = (len(fractions), n)
-        assert at.shape == shape
-        assert np.array_equal(np.array([c.value for c in shared])[at],
-                              np.array([c.value for c in flat]).reshape(shape))
-        assert np.array_equal(np.array([c.inv_sqrt_n for c in shared])[at],
-                              np.array([c.inv_sqrt_n for c in flat]).reshape(shape))
+        rows = gauss_sums.unit_phase(verify._closed_numerators(*fractions), 4 * n) / math.sqrt(n)
+        for row, f in zip(rows, fractions):
+            want = gauss_sums._coefficient_values(gauss_sums.closed_coefficients(f))
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), f
 
 
 class TestNoCasesFails:

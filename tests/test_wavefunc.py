@@ -198,6 +198,19 @@ class TestCatWavefunctions:
         superposed = superposition_wavefunction(1.1, desc, x)
         assert np.abs(superposed - math.pi ** -0.25 * psi_cat_F_inverse(1.1, x)).max() < 1e-14
 
+    @pytest.mark.parametrize("closed, fraction, constant, alpha, x", [
+        (psi_cat_P, (1, 2), 1.0, 30j, 30.0),
+        (psi_cat_F, (3, 4), math.pi ** -0.25, 30.0, 30.0),
+        (psi_cat_F, (3, 4), math.pi ** -0.25, 400.0, 2.0),
+    ], ids=["parity-30j-30", "fourier-30-30", "fourier-400-2"])
+    def test_finite_where_a_cos_cosh_or_sinh_alone_overflows(self, closed, fraction, constant,
+                                                             alpha, x):
+        # amplitudes the truncation guard accepts; the cos, cosh or sinh alone
+        # overflows there and the Gaussian alone underflows, their product does not
+        want = superposition_wavefunction(alpha, build_descriptor(CoprimeFraction(*fraction)), x)
+        got = constant * closed(alpha, x)
+        assert np.isfinite(got) and abs(got - want) <= 1e-12
+
 
 class TestMehlerKernel:
     def test_symmetric_in_arguments(self):
