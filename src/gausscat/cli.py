@@ -27,7 +27,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .fock import (coherent_underflows, evolution_fidelity, required_dimension,
-                   within_truncation_guard)
+                   within_time_bound, within_truncation_guard)
 from .gauss_sums import (
     CoprimeFraction,
     _coefficient_values,
@@ -198,11 +198,8 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
 def cmd_evolve(args: argparse.Namespace) -> int:
     f = _fraction(args)
     alpha = _alpha_within_guard(args)
-    if not math.isfinite(args.t):
-        args.error(f"--t must be finite, got {args.t}")
-    if abs(args.t) * (args.dim - 0.5) > 2.0 ** 40:
-        args.error(f"--t: |t|*(dim - 1/2) must be at most 2**40, where |1 - fidelity| "
-                   f"reaches ~1e-10; got t = {args.t:g} at dim = {args.dim}")
+    if not within_time_bound(args.t, args.dim):
+        args.error(f"--t={args.t:g} at --dim {args.dim}: need t finite, |t|*(dim - 1/2) <= 2**40")
     if args.t_steps < 2:
         args.error("--t-steps must be at least 2")
     times = np.linspace(0.0, args.t, args.t_steps)

@@ -2,10 +2,10 @@
 axis of amplitudes, kitten vectors, and residuals for the defining operator identities,
 compared on the band a[n-1, n] = sqrt(n) of the lowering operator; no dim x dim matrix.
 
-A vector of dimension D holds the coefficients of |0> .. |D-1>.  Truncation
-corrupts exactly one trailing row per application of the lowering operator,
-so every residual below excludes the provably corrupted rows and is an
-exact statement (zero up to rounding) rather than a small-error bound.
+A vector of dimension D holds the coefficients of |0> .. |D-1>.  Truncation corrupts
+exactly one trailing row per application of the lowering operator, so every residual
+below excludes the provably corrupted rows and is an exact statement, zero up to rounding;
+the phase identities leave out the factors both sides share and compare phases only.
 
 Quadratic phases like exp(-i*phi*n*(n-1)/2) with phi = 2*pi*M/N are reduced
 mod 2*pi as exact integer arithmetic before any trigonometric call, which
@@ -41,6 +41,7 @@ __all__ = [
     "required_dimension",
     "rotation_diagonal",
     "time_evolution_residual",
+    "within_time_bound",
     "within_truncation_guard",
 ]
 
@@ -81,6 +82,11 @@ def within_truncation_guard(alpha: complex, dim: int) -> bool:
     """|alpha|^2 <= dim - 4*sqrt(dim), clamped at zero so that alpha = 0,
     whose vacuum vector is exact at any dim >= 1, always passes."""
     return abs(alpha) * abs(alpha) <= max(0.0, dim - 4.0 * math.sqrt(dim))
+
+
+def within_time_bound(t: float, dim: int) -> bool:
+    """t is finite and |t|*(dim - 1/2) <= 2**40, where the evolved phases cost ~1e-10."""
+    return math.isfinite(t) and abs(t) * (dim - 0.5) <= 2.0 ** 40
 
 
 def coherent_underflows(alpha: complex) -> bool:
@@ -165,34 +171,30 @@ def eigen_residual(alpha: complex, f: CoprimeFraction, dim: int) -> float:
     return float(np.linalg.norm(lowered - alpha * rotated) / np.linalg.norm(v))
 
 
-def aN_identity_residual(f: CoprimeFraction, dim: int) -> float:
-    """Residual of (U^{-1} a)^N = mu * a^N on rows 0 .. D-N-1.
+def aN_identity_residual(f: CoprimeFraction, dim: int) -> int:
+    """Number of rows 0 .. D-N-1 where (U^{-1} a)^N = mu * a^N fails: exactly 0.
 
-    Both N-fold products are single-band matrices, so each retained entry
-    is an explicit product of one unit phase per step and the shared ladder
-    magnitudes sqrt(i+1)..sqrt(i+N).  Entry i steps through the rows
-    r = i .. i+N-1 of one integer table, where (U^{-1} a)[r, r+1] =
-    exp(+i*phi*r) * sqrt(r+1); its phase exp(i*pi * 2M*sum(r) / N) is an exact
-    integer numerator, and one ``unit_phase`` call evaluates them all.  This
-    keeps the residual an exact statement about the phase identity instead of
-    drowning it in rounding noise from entries of size sqrt((i+N)!/i!).
-    Returns the Frobenius norm of the band difference.
-    """
+    Both sides are single-band matrices whose entry i shares the ladder magnitude
+    sqrt((i+N)!/i!), so only phases are compared.  Entry i steps through the rows
+    r = i .. i+N-1, where (U^{-1} a)[r, r+1] = exp(+i*phi*r) * sqrt(r+1); its phase
+    exp(i*pi * 2M*sum(r)/N) has an integer numerator, a multiple of N, so ``unit_phase``
+    gives exactly +1 or -1."""
     m, n = f.M, f.N
     if dim <= n:
         raise ValueError(f"need dim > N for at least one valid row (dim={dim}, N={n})")
     rows = np.arange(dim - n)[:, None] + np.arange(n)
-    phases = unit_phase(2 * m * rows.sum(axis=1), n)
-    mags = np.sqrt(rows + 1.0).prod(axis=1)
-    return float(np.linalg.norm(phases * mags - mu_factor(f) * mags))
+    return int(np.count_nonzero(unit_phase(2 * m * rows.sum(axis=1), n) != mu_factor(f)))
 
 
 def _evolved_pairs(alpha: complex, f: CoprimeFraction, times: Iterable[float], dim: int):
-    """(t, e^{-itL}|kitten(alpha)>, |kitten(e^{-it} alpha)>) per t; equal up to e^{-it/2}."""
+    """(t, e^{-itL}|kitten(alpha)>, |kitten(e^{-it} alpha)>) per t, equal up to e^{-it/2};
+    ValueError naming t outside ``within_time_bound``."""
     phases = _series_phases(f, dim)
     initial = coherent_vector(alpha, dim) * phases
     levels = np.arange(dim) + 0.5
     for t in map(float, times):
+        if not within_time_bound(t, dim):
+            raise ValueError(f"t = {t:g} at dim {dim}: need t finite and |t|*(dim - 1/2) <= 2**40")
         yield (t, np.exp(-1j * t * levels) * initial,
                coherent_vector(cmath.exp(-1j * t) * alpha, dim) * phases)
 
@@ -205,23 +207,22 @@ def time_evolution_residual(alpha: complex, f: CoprimeFraction, times: Iterable[
             for t, evolved, rotated in _evolved_pairs(alpha, f, times, dim)]
 
 
-def kerr_identity_residual(alpha: complex, f: CoprimeFraction, dim: int) -> float:
-    """Residual of |alpha>_phi = G(phi)^{-1} |alpha>: the inverse Kerr
-    diagonal applied to a coherent vector must reproduce the series vector."""
-    ginv = kerr_diagonal(f, dim).conj()
-    return float(np.linalg.norm(ginv * coherent_vector(alpha, dim)
-                                - kitten_vector_series(alpha, f, dim)))
+def kerr_identity_residual(f: CoprimeFraction, dim: int) -> int:
+    """Number of n < dim where |alpha>_phi = G(phi)^{-1} |alpha> fails, for every alpha at once
+    (the coherent entries multiply both sides): exactly 0.  ValueError naming dim below 1."""
+    if dim < 1:
+        raise ValueError(f"need dim >= 1 (dim={dim})")
+    return int(np.count_nonzero(kerr_diagonal(f, dim).conj() != _series_phases(f, dim)))
 
 
 def kerr_conjugation_residual(f: CoprimeFraction, dim: int) -> float:
-    """Matrix form of the Kerr automorphism: |G^{-1} a G - U^{-1} a| / |a| on
-    rows 0 .. D-2 (Frobenius norms), relative so its rounding floor is flat in D.
-    Both sides are zero off the band a[n-1, n] = sqrt(n), which is all they hold."""
+    """Largest |conj(g[n-1]) g[n] - conj(u[n-1])|, 0 < n < D, g the Kerr and u the rotation
+    diagonal: G^{-1} a G = U^{-1} a on the band a[n-1, n] = sqrt(n), off which both sides are
+    zero, without the magnitude both share; flat in D, and a wrong phase reads at full size."""
+    if dim < 2:
+        raise ValueError(f"need dim >= 2 for a band entry of a (dim={dim})")
     g = kerr_diagonal(f, dim)
-    band = np.sqrt(np.arange(1, dim))
-    conjugated = g.conj()[:-1] * band * g[1:]
-    target = rotation_diagonal(f, dim).conj()[:-1] * band
-    return float(np.linalg.norm(conjugated - target) / np.linalg.norm(band))
+    return float(np.abs(g.conj()[:-1] * g[1:] - rotation_diagonal(f, dim).conj()[:-1]).max())
 
 
 def evolution_fidelity(alpha: complex, f: CoprimeFraction, times: Iterable[float],

@@ -185,14 +185,11 @@ def check_lowering_power(cfg: VerifyConfig) -> list[CheckResult]:
 
 
 def check_kerr(cfg: VerifyConfig) -> list[CheckResult]:
-    """The Kerr identity on coherent vectors, per fraction and amplitude, and
-    as a matrix conjugation, once per fraction."""
-    vector = ([fock.kerr_identity_residual(alpha, f, cfg.dim)]
-              for f, alpha in product(coprime_fractions(cfg.fock_n_max), cfg.alphas))
-    matrix = ([fock.kerr_conjugation_residual(f, cfg.dim)]
-              for f in coprime_fractions(cfg.fock_n_max))
-    return (_sweep("fock", ["kerr-vector-identity"], vector, _fock_detail(cfg))
-            + _sweep("fock", ["kerr-matrix-identity"], matrix, _fock_detail(cfg)))
+    """The Kerr identity on coherent vectors, for every amplitude at once, and
+    as a matrix conjugation: one row of both per fraction."""
+    rows = ([fock.kerr_identity_residual(f, cfg.dim), fock.kerr_conjugation_residual(f, cfg.dim)]
+            for f in coprime_fractions(cfg.fock_n_max))
+    return _sweep("fock", ["kerr-vector-identity", "kerr-matrix-identity"], rows, _fock_detail(cfg))
 
 
 def check_time_evolution(cfg: VerifyConfig) -> list[CheckResult]:

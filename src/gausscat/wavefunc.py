@@ -120,13 +120,19 @@ def hermite_basis(n_max: int, x: np.ndarray) -> np.ndarray:
 
 
 def psi_coherent(alpha: complex, x) -> np.ndarray:
-    """Coherent-state wavefunction
-    pi^{-1/4} exp(-|a|^2/2 - a^2/2 + sqrt(2) a x - x^2/2); alpha broadcasts with x."""
+    """Coherent-state wavefunction pi^{-1/4} exp(-|a|^2/2 - a^2/2 + sqrt(2) a x - x^2/2), a
+    broadcast with x, as its completed square exp(-d^2/2 + i (sqrt(2) Im a x - Re a Im a)),
+    d = x - sqrt(2) Re a clamped at 40 as in ``hermite_basis``.  ValueError naming x where it
+    is not finite, else alpha where that phase is not finite or above 2**53 (no digits left)."""
     x = np.asarray(x, dtype=float)
-    return math.pi ** -0.25 * np.exp(
-        -0.5 * _abs_squared(alpha) - 0.5 * alpha * alpha
-        + math.sqrt(2.0) * alpha * x - 0.5 * x * x
-    )
+    p, q = np.real(alpha), np.imag(alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = np.minimum(np.square(x - math.sqrt(2.0) * p), 1600.0)
+        phase = math.sqrt(2.0) * q * x - p * q
+    if not (np.abs(phase) <= 2.0 ** 53).all():
+        name = "alpha" if np.isfinite(x).all() else "x"
+        raise ValueError(f"{name}: the phase reaches {np.max(np.abs(phase)):g}, beyond 2**53")
+    return math.pi ** -0.25 * np.exp(-0.5 * square + 1j * phase)
 
 
 def psi_cat_P(alpha: complex, x) -> np.ndarray:

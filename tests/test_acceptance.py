@@ -49,14 +49,14 @@ FLOORS = {
     "eigen-equation": "0x1.f6760be45a3f9p-52",
     "series-vs-superposition": "0x1.2e63cd885bd61p-51",
     "lowering-power-identity": "0x0.0p+0",
-    "kerr-vector-identity": "0x1.11fe22191e4b9p-53",
-    "kerr-matrix-identity": "0x1.90e87e2e5dcd6p-53",
+    "kerr-vector-identity": "0x0.0p+0",
+    "kerr-matrix-identity": "0x1.6a09e667f3bcdp-52",
     "time-evolution": "0x1.6414f28c8c61bp-50",
     "kernel-spectral": "0x1.dbd2f298503a0p-49",
     "integro-differential": "0x1.d692f95c389fdp-50",
     "integro-differential-parity": "0x1.0000000000000p-48",
-    "cat-wavefunction-parity": "0x1.8000000000000p-52",
-    "cat-wavefunction-fourier": "0x1.65c55827df1d2p-51",
+    "cat-wavefunction-parity": "0x1.99ccc999fff00p-52",
+    "cat-wavefunction-fourier": "0x1.060dad910e74dp-51",
 }
 FLOOR_FACTOR = 100
 

@@ -28,6 +28,7 @@ from gausscat.fock import (
     required_dimension,
     rotation_diagonal,
     time_evolution_residual,
+    within_time_bound,
     within_truncation_guard,
 )
 from gausscat.gauss_sums import CoprimeFraction, RationalAngle, unit_phase
@@ -256,24 +257,17 @@ class TestLoweringPowerIdentity:
     @pytest.mark.parametrize("m, n, dim", [(1, 2, 9), (2, 7, 20), (5, 12, 40)])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_matches_the_step_loop(self, monkeypatch, m, n, dim, sign):
-        # reference: the per-step product, phases added as exact rationals; a
-        # negated mu makes the residual 2*|band| instead of exactly zero
+        # reference: the per-step product of phases, added as exact rationals,
+        # counted where it differs from mu; a negated mu fails all dim - N rows
         f = CoprimeFraction(m, n)
         mu = sign * mu_factor(f)
-        total = 0.0
+        failing = 0
         for i in range(dim - n):
-            angle, mag = Fraction(0), 1.0  # an exact multiple of pi
-            for step in range(n):
-                angle += Fraction(2 * m * (i + step), n)
-                mag *= math.sqrt(i + step + 1)
-            phase = RationalAngle(angle.numerator, angle.denominator)
-            total += abs(phase.to_complex() * mag - mu * mag) ** 2
+            angle = sum(Fraction(2 * m * (i + step), n) for step in range(n))  # times pi
+            assert angle.denominator == 1  # so the phase is exactly +1 or -1
+            failing += (-1) ** (angle.numerator % 2) != mu
         monkeypatch.setattr(fock, "mu_factor", lambda _: mu)
-        value = aN_identity_residual(f, dim)
-        if sign == 1:
-            assert value == math.sqrt(total) == 0.0
-        else:
-            assert value == pytest.approx(math.sqrt(total), rel=1e-13)
+        assert aN_identity_residual(f, dim) == failing == (0 if sign == 1 else dim - n)
 
     def test_mu_factor(self):
         assert mu_factor(CoprimeFraction(1, 2)) == -1
@@ -351,13 +345,34 @@ class TestTimeGrid:
         assert time_evolution_residual(1.0, CoprimeFraction(1, 3), [], 32) == []
         assert evolution_fidelity(1.0, CoprimeFraction(1, 3), [], 32) == []
 
+    @pytest.mark.parametrize("t", [1e300, -1e300, 1e15, float("inf"), float("nan")])
+    @pytest.mark.parametrize("fn", [time_evolution_residual, evolution_fidelity])
+    def test_time_beyond_the_bound_is_a_value_error_naming_t(self, fn, t):
+        # evolution_fidelity read 0.997 at t = 1e300, with no error
+        with pytest.raises(ValueError, match=r"^t = "):
+            fn(1.0, CoprimeFraction(1, 3), [0.0, t], 64)
+
+    def test_time_bound_is_the_cli_rule(self):
+        # |t|*(dim - 1/2) <= 2**40, exact products of powers of two here
+        assert within_time_bound(2.0 ** 34, 64) and within_time_bound(-(2.0 ** 34), 64)
+        assert not within_time_bound(2.0 ** 34, 66)
+        assert not within_time_bound(float("inf"), 1) and not within_time_bound(float("nan"), 1)
+
 
 class TestKerrIdentity:
     def test_alpha_zero_is_exact(self):
-        assert kerr_identity_residual(0.0, CoprimeFraction(1, 2), 32) == 0.0
+        # G^{-1} leaves the vacuum as it is, and the phases agree at every n
+        f = CoprimeFraction(1, 2)
+        assert kerr_identity_residual(f, 32) == 0
+        ginv_vacuum = kerr_diagonal(f, 32).conj() * coherent_vector(0.0, 32)
+        assert np.array_equal(ginv_vacuum, kitten_vector_series(0.0, f, 32))
 
     def test_parity_cat(self):
-        assert kerr_identity_residual(1.0, CoprimeFraction(1, 2), 64) < 1e-12
+        # the coherent entries are a common factor, so the phase count covers any alpha
+        f = CoprimeFraction(1, 2)
+        assert kerr_identity_residual(f, 64) == 0
+        ginv_coherent = kerr_diagonal(f, 64).conj() * coherent_vector(1.0, 64)
+        assert np.abs(ginv_coherent - kitten_vector_series(1.0, f, 64)).max() < 1e-16
 
     @pytest.mark.parametrize("m, n", [(1, 2), (3, 4), (2, 5), (3, 8)])
     def test_matrix_conjugation(self, m, n):
@@ -365,7 +380,8 @@ class TestKerrIdentity:
 
     @pytest.mark.parametrize("m, n", [(5, 12), (11, 12)])
     def test_matrix_conjugation_at_large_dim(self, m, n):
-        # an absolute norm over entries of size sqrt(n) gives 1.13e-12 here
+        # the band's magnitudes sqrt(n) are left out, so the value does not grow
+        # with dim (an absolute norm over the band entries gives 1.13e-12 here)
         residual = kerr_conjugation_residual(CoprimeFraction(m, n), 2048)
         assert residual <= TOLERANCES["kerr-matrix-identity"]
 
@@ -373,17 +389,29 @@ class TestKerrIdentity:
     @pytest.mark.parametrize("wrong", [False, True])
     def test_band_matches_dense_conjugation(self, monkeypatch, m, n, dim, wrong):
         # reference: the dense dim x dim products on rows 0 .. D-2, with a
-        # faulty Kerr generator as well, so a nonzero residual is compared too
+        # faulty Kerr generator as well, so a nonzero residual is compared too;
+        # a unit band leaves out the shared sqrt(n), and multiplying by 1 and 0
+        # is exact, so every entry, off the band too, is compared bit for bit
         if wrong:
             monkeypatch.setattr(fock, "kerr_diagonal", lambda f, d: unit_phase(
                 f.M * np.arange(d) * (np.arange(d) + 1), f.N))
         f = CoprimeFraction(m, n)
         g = fock.kerr_diagonal(f, dim)
-        a = annihilation_matrix(dim)[: dim - 1]
+        a = (annihilation_matrix(dim) != 0)[: dim - 1]
         conjugated = g.conj()[: dim - 1, None] * a * g[None, :]
         target = rotation_diagonal(f, dim).conj()[: dim - 1, None] * a
-        dense = np.linalg.norm(conjugated - target) / np.linalg.norm(a)
-        assert kerr_conjugation_residual(f, dim) == pytest.approx(dense, rel=1e-14, abs=1e-17)
+        assert kerr_conjugation_residual(f, dim) == np.abs(conjugated - target).max()
+
+    @pytest.mark.parametrize("dim", [1, 0])
+    def test_no_band_entry_is_a_value_error_naming_dim(self, dim):
+        with pytest.raises(ValueError, match="dim"):
+            kerr_conjugation_residual(CoprimeFraction(1, 3), dim)
+
+    @pytest.mark.parametrize("dim", [0, -5])
+    def test_no_entry_is_a_value_error_naming_dim(self, dim):
+        # an empty phase comparison would count 0 failures
+        with pytest.raises(ValueError, match="dim"):
+            kerr_identity_residual(CoprimeFraction(1, 3), dim)
 
     def test_band_residual_memory_is_linear_in_dim(self):
         # dense dim x dim complex matrices peak at 256 MB here

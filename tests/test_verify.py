@@ -228,6 +228,20 @@ class TestMutationMatrix:
         result = self._results(group)[check]
         assert not result.passed, result
 
+    def test_one_ulp_on_one_series_phase_turns_kerr_vector_red(self, monkeypatch):
+        # a norm of the two coherent-weighted vectors reads 1.27e-16 here and passes
+        original = fock._series_phases
+
+        def nudged(f, dim):
+            phases = original(f, dim)
+            phases[3] = complex(np.nextafter(phases[3].real, 2.0), phases[3].imag)
+            return phases
+
+        monkeypatch.setattr(fock, "_series_phases", nudged)
+        results = self._results("fock")
+        assert not results["kerr-vector-identity"].passed
+        assert results["kerr-matrix-identity"].passed
+
     def _scaled_superposition(self, monkeypatch, fraction):
         """The wavefunc group with a factor 1 + 1e-9 on the superposition of
         ``fraction`` alone."""

@@ -102,6 +102,27 @@ class TestPsiCoherent:
         series = coherent_vector(alpha, 64) @ hermite_basis(63, x)
         assert np.abs(series - psi_coherent(alpha, x)).max() < 1e-9
 
+    @pytest.mark.parametrize("alpha", [30.0, 1e5, 1e10, -1e10])
+    def test_exact_at_the_peak_of_a_large_amplitude(self, alpha):
+        # the completed square: exp(-|a|^2/2 - a^2/2) and exp(sqrt(2) a x) need
+        # not cancel (off by 1.43e-6 at 1e5 as one exponent, inf at 1e10)
+        assert psi_coherent(alpha, math.sqrt(2.0) * alpha) == math.pi ** -0.25
+
+    @pytest.mark.parametrize("alpha, x", [
+        (1e200j, 1.0), (1e10 + 1e10j, 0.0), (1e8j, 1e8), (complex("nan"), 0.0),
+        (float("inf"), 0.0), (complex(0.0, float("inf")), 0.0)])
+    def test_phase_without_digits_is_a_value_error_naming_alpha(self, alpha, x):
+        # sqrt(2) Im(a) x - Re(a) Im(a) is not finite or beyond 2**53
+        with pytest.raises(ValueError, match="alpha"):
+            psi_coherent(alpha, x)
+
+    @pytest.mark.parametrize("alpha, x", [
+        (1.0, float("inf")), (1j, float("-inf")), (0.0, float("nan")),
+        (1.0, [0.0, float("nan")])])
+    def test_position_without_digits_is_a_value_error_naming_x(self, alpha, x):
+        with pytest.raises(ValueError, match="^x"):
+            psi_coherent(alpha, x)
+
 
 _PENTAGON = build_descriptor(CoprimeFraction(2, 5))
 
@@ -137,10 +158,10 @@ class TestArrayShapes:
         assert np.abs(superposed - loop).max() < 1e-15
 
 
-# every function of one amplitude whose |alpha|^2 a float ** would overflow
+# every function of one amplitude whose |alpha|^2 a float ** would overflow;
+# psi_coherent never squares |alpha|
 _AMPLITUDE_FUNCTIONS = {
     "required_dimension": required_dimension,
-    "psi_coherent": lambda alpha: psi_coherent(alpha, 0.0),
     "psi_cat_P": lambda alpha: psi_cat_P(alpha, 0.0),
     "psi_cat_F": lambda alpha: psi_cat_F(alpha, 0.0),
     "psi_cat_F_inverse": lambda alpha: psi_cat_F_inverse(alpha, 0.0),
@@ -154,9 +175,12 @@ class TestHugeAmplitudes:
         with pytest.raises(ValueError, match="alpha"):
             _AMPLITUDE_FUNCTIONS[name](alpha)
 
-    def test_finite_abs_squared_keeps_the_coherent_value_finite(self):
-        # |alpha|^2 = 1e300 cancels -alpha^2/2 exactly at x = 0
-        assert psi_coherent(1e150j, 0.0) == math.pi ** -0.25
+    @pytest.mark.parametrize("alpha, value", [
+        (1e150j, math.pi ** -0.25), (1e200, 0.0), (1e200j, math.pi ** -0.25)])
+    def test_completed_square_keeps_the_coherent_value_exact(self, alpha, value):
+        # magnitude exp(-(x - sqrt(2) Re a)^2/2), phase sqrt(2) Im(a) x - Re(a) Im(a):
+        # at x = 0 that is exp(-(Re a)^2) with phase 0, and |alpha|^2 is never formed
+        assert psi_coherent(alpha, 0.0) == value
 
 
 class TestCatWavefunctions:
