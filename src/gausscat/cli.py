@@ -51,24 +51,22 @@ from .wavefunc import GridSpec, kitten_wave_sample
 _NORM_DRIFT_BOUND = 1e-6
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def _fmt_complex(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}j"
 
 
 def _print_columns(fmt: str, columns: dict, head: dict | None = None,
                    tail: dict | None = None) -> None:
-    """Print named columns as CSV rows under a header, or as JSON float lists after head."""
+    """Print named columns as CSV rows under a header, or as JSON float lists after head;
+    a CSV row is one ``%.17g`` format, the text of ``f"{v:.17g}"`` for each value."""
     if fmt == "json":
         floats = {name: np.asarray(col, dtype=float).tolist() for name, col in columns.items()}
         print(json.dumps({**(head or {}), **floats, **(tail or {})}))
         return
     print(",".join(columns))
+    row_format = ",".join(["%.17g"] * len(columns))
     for row in zip(*(np.asarray(col).tolist() for col in columns.values())):
-        print(",".join(map(_fmt, row)))
+        print(row_format % row)
 
 
 def _parse_alpha(args: argparse.Namespace) -> complex:
@@ -182,9 +180,9 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
         args.error(f"--grid-half-width/--grid-points: {exc}")
     sample = kitten_wave_sample(alpha, f, grid, args.dim)
     norm = sample.norm()
-    print(f"# trapezoid norm = {_fmt(norm)}", file=sys.stderr)
+    print(f"# trapezoid norm = {norm:.17g}", file=sys.stderr)
     if not abs(norm - 1.0) <= _NORM_DRIFT_BOUND:
-        print(f"norm-drift: trapezoid norm {_fmt(norm)} is off 1 by more than "
+        print(f"norm-drift: trapezoid norm {norm:.17g} is off 1 by more than "
               f"{_NORM_DRIFT_BOUND:g}; the grid is too narrow or too coarse, the basis "
               f"underflowed, or the state's Fock tail beyond --dim is cut off", file=sys.stderr)
     values = sample.values

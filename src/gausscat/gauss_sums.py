@@ -89,7 +89,7 @@ class RationalAngle:
     Canonical form: den >= 1, gcd(num, den) = 1, and 0 <= num < 2*den
     (phases are identified mod 2*pi); the zero angle is stored as (0, 1).
     Construction normalizes any integer pair, so ``RationalAngle(-1, 4)``
-    becomes ``RationalAngle(7, 4)``.
+    becomes ``RationalAngle(7, 4)``; it holds no float (``unit_phase`` evaluates it).
     """
 
     num: int
@@ -102,10 +102,6 @@ class RationalAngle:
         g = math.gcd(num, self.den) if num else self.den
         object.__setattr__(self, "num", num // g)
         object.__setattr__(self, "den", self.den // g)
-
-    def to_complex(self) -> complex:
-        """exp(i*pi*num/den), bit for bit the scalar view of ``unit_phase``."""
-        return complex(unit_phase(self.num, self.den))
 
     def __str__(self) -> str:
         if self.num == 0:
@@ -146,9 +142,9 @@ class CoprimeFraction:
 class ExactCoefficient:
     """An exact superposition coefficient exp(i*pi*phase) / sqrt(n).
 
-    The phase is a canonical ``RationalAngle``, so a -1 is the phase pi and
-    equality of coefficients is plain field equality.  ``inv_sqrt_n``
-    stores the integer n whose inverse square root is the magnitude.
+    The phase is a canonical ``RationalAngle``, so a -1 is the phase pi and equality is
+    plain field equality.  ``inv_sqrt_n`` stores the integer n whose inverse square root
+    is the magnitude; ``_coefficient_values`` evaluates a list of them.
     """
 
     inv_sqrt_n: int
@@ -157,11 +153,6 @@ class ExactCoefficient:
     def __post_init__(self) -> None:
         if self.inv_sqrt_n < 1:
             raise ValueError("inv_sqrt_n must be a positive integer")
-
-    @property
-    def value(self) -> complex:
-        """exp(i*pi*phase) / sqrt(inv_sqrt_n), bit for bit ``_coefficient_values``."""
-        return complex(_coefficient_values([self])[0])
 
     def __str__(self) -> str:
         root = f"√{self.inv_sqrt_n}"
@@ -173,17 +164,23 @@ class ExactCoefficient:
 
 
 def unit_phase(nums: np.typing.ArrayLike, den: np.typing.ArrayLike) -> np.ndarray:
-    """exp(i*pi*nums/den) for integer nums and den <= 2**60 (int64-exact) that broadcast.
+    """exp(i*pi*nums/den) for integer nums and 1 <= den <= 2**60 (int64-exact) that broadcast.
 
     Exact integer range reduction (Muller, *Elementary Functions*, ch. 11): r = nums
     mod 2*den, r > den is the conjugate of 2*den - r, and a = min(r, 2*den - r) is
     the nearest quarter turn q plus theta = (pi/2)*off/den in [-pi/4, pi/4]; the
     value is exp(i*theta) times i**q, an exact product.  So 1, -1 and +-i are exact,
     unit_phase(-r, d) == unit_phase(r, d).conj(), and unit_phase(k*r, k*d) == unit_phase(r, d).
+    A den below 1 raises ``ValueError``, and nums without an integer dtype (unless
+    empty) ``TypeError`` instead of a truncated angle.
     """
-    if ((den := np.asarray(den, dtype=np.int64)) > 2**60).any():
+    if ((den := np.asarray(den, dtype=np.int64)) < 1).any():
+        raise ValueError(f"unit_phase: den must be at least 1, got {den.min()}")
+    if (den > 2**60).any():
         raise ValueError("unit_phase reduces in int64, so den must be at most 2**60")
-    r = np.asarray(nums, dtype=np.int64) % (2 * den)
+    if (nums := np.asarray(nums)).size and not np.issubdtype(nums.dtype, np.integer):
+        raise TypeError(f"unit_phase: nums must have an integer dtype, got {nums.dtype}")
+    r = nums.astype(np.int64, copy=False) % (2 * den)
     a = np.minimum(r, 2 * den - r)
     q = (4 * a + den) // (2 * den)
     z = np.exp(1j * (np.pi / 2 * ((2 * a - q * den) / den))) * np.array([1, 1j, -1])[q]
@@ -191,7 +188,7 @@ def unit_phase(nums: np.typing.ArrayLike, den: np.typing.ArrayLike) -> np.ndarra
 
 
 def _coefficient_values(coeffs: list[ExactCoefficient]) -> np.ndarray:
-    """The complex values of many exact coefficients, by one ``unit_phase`` call."""
+    """exp(i*pi*phase) / sqrt(inv_sqrt_n) of many exact coefficients by one ``unit_phase`` call."""
     num, den, inv_sqrt = np.array([(c.phase.num, c.phase.den, c.inv_sqrt_n) for c in coeffs]).T
     return unit_phase(num, den) / np.sqrt(inv_sqrt)
 

@@ -183,8 +183,10 @@ def reduce_angle(phi: float) -> float:
     The Mehler normalization mu(phi) = exp(i*(phi/2 - (pi/4) sgn(sin phi)))
     is 4*pi-periodic as written, so the branch matters: the analytic
     continuation of the kernel from |q| < 1 (and the eigenvalue property
-    on psi_n) selects the representative in (-pi, pi].
+    on psi_n) selects the representative in (-pi, pi]; a non-finite phi raises ``ValueError``.
     """
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     reduced = math.remainder(phi, 2.0 * math.pi)
     return math.pi if reduced == -math.pi else reduced
 
@@ -197,7 +199,7 @@ def mehler_kernel(x, y, phi: float) -> np.ndarray:
 
     At phi = -pi/2 this is the ordinary Fourier kernel e^{ixy}/sqrt(2*pi).
     Raises for phi a multiple of pi, where the kernel degenerates to the
-    identity or parity delta; the transform handles the parity case.
+    identity or parity delta; the transform handles both cases.
     """
     phi = reduce_angle(phi)
     s = math.sin(phi)
@@ -212,8 +214,8 @@ def mehler_kernel(x, y, phi: float) -> np.ndarray:
 
 def _trapezoid_transform(grid: GridSpec, values: np.ndarray, phi: float) -> np.ndarray:
     """F_phi on each row of a (..., P) array of samples on grid: the trapezoid
-    sum sum_y K(x, y) w_y psi(y) of the Mehler kernel, or at phi = pi
-    (mod 2*pi), where the kernel is the parity delta, the reversal psi(-x).
+    sum sum_y K(x, y) w_y psi(y) of the Mehler kernel, or where the kernel is a
+    delta (|sin phi| < 1e-9) the input at phi = 0 or the reversal psi(-x) at pi.
 
     The sum is evaluated exactly, not approximated, in O(P log P) time and
     O(P) memory per row (the chirp-z factorisation: Bluestein 1970; Ozaktas
@@ -226,12 +228,19 @@ def _trapezoid_transform(grid: GridSpec, values: np.ndarray, phi: float) -> np.n
     zero-padded FFT convolution with exp(i h^2 d^2 / (2 sin phi)), and a
     chirp.  The row K(x, 0) comes from ``mehler_kernel``, which keeps the
     normalization mu(phi)/sqrt(2 pi |sin phi|) and the cot phi chirp in one
-    function, the one that ``kernel-spectral`` pins; it also raises at
-    phi = 0 (mod 2*pi).
+    function, the one that ``kernel-spectral`` pins.
+
+    The sum aliases once its filter's local frequency h^2 d / |sin phi| passes the
+    Nyquist rate on the state's support (3.05 at phi = 1e-3 on the default grid), so
+    where |sin phi| < 1/2 it is taken twice, F_{phi-q} F_q with q = +-pi/2 (index
+    additivity, Ozaktas et al.), each step with |sin| >= sqrt(3)/2.
     """
     phi = reduce_angle(phi)
-    if abs(math.sin(phi)) < 1e-9 and math.cos(phi) < 0.0:
-        return values[..., ::-1]
+    if abs(math.sin(phi)) < 1e-9:
+        return values if math.cos(phi) > 0.0 else values[..., ::-1]
+    if abs(math.sin(phi)) < 0.5:
+        q = math.copysign(0.5 * math.pi, phi)
+        return _trapezoid_transform(grid, _trapezoid_transform(grid, values, q), phi - q)
     row = mehler_kernel(grid.x(), 0.0, phi)
     points = grid.points
     m = np.arange(points) - points // 2
@@ -246,8 +255,9 @@ def _trapezoid_transform(grid: GridSpec, values: np.ndarray, phi: float) -> np.n
 
 
 def frac_fourier(ws: WaveSample, phi: float) -> WaveSample:
-    """Fractional Fourier transform of a sample (``_trapezoid_transform``); warns
-    when the input does not decay below 1e-12 at the grid boundary (aliasing risk)."""
+    """Fractional Fourier transform of a sample (``_trapezoid_transform``) at any finite
+    phi, ``ValueError`` naming phi otherwise; warns when the input does not decay below
+    1e-12 at the grid boundary (aliasing risk)."""
     boundary = max(abs(ws.values[0]), abs(ws.values[-1]))
     if boundary >= 1e-12:
         warnings.warn(

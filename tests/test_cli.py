@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gausscat.cli import main
+from gausscat.cli import _print_columns, main
 from gausscat.gauss_sums import CoprimeFraction
 from gausscat.superposition import build_descriptor, descriptor_to_json
 from gausscat.wavefunc import psi_cat_P
@@ -163,6 +163,23 @@ class TestCsvJsonParity:
         for name, column in zip(names, csv_columns):
             assert [v.hex() for v in column] == \
                 [float(v).hex() for v in json_columns[name]], name
+
+
+class TestCsvRows:
+    def test_one_format_per_row_prints_each_value_as_17g(self, capsys):
+        # the row format against one f"{v:.17g}" per value, over the values that
+        # print specially and the int columns of coeffs 1 16001 (phase_num < 8N)
+        floats = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.0 ** 53 + 1.0,
+                           0.1, -1 / 3])
+        columns = {"k": range(floats.size), "phase_num": np.linspace(0, 8 * 16001, floats.size,
+                                                                     dtype=np.int64),
+                   "re": floats, "im": floats[::-1]}
+        _print_columns("csv", columns)
+        rows = zip(*(np.asarray(col).tolist() for col in columns.values()))
+        want = ["k,phase_num,re,im", *(",".join(f"{v:.17g}" for v in row) for row in rows)]
+        assert capsys.readouterr().out.splitlines() == want
+        assert want[1] == "0,0,nan,-0.33333333333333331"
+        assert want[4] == "3,54860,-0,4.9406564584124654e-324"
 
 
 class TestWavefunction:

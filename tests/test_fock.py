@@ -31,7 +31,7 @@ from gausscat.fock import (
     within_time_bound,
     within_truncation_guard,
 )
-from gausscat.gauss_sums import CoprimeFraction, RationalAngle, unit_phase
+from gausscat.gauss_sums import CoprimeFraction, unit_phase
 from gausscat.superposition import build_descriptor
 from gausscat.verify import TOLERANCES
 
@@ -45,6 +45,12 @@ def small_fractions_st(draw, n_max=10):
 
 disc_alphas_st = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
                                     allow_infinity=False)
+
+
+def _cmath_phase(num, den):
+    """exp(i*pi*num/den) by cmath.exp of the angle reduced exactly mod 2*pi:
+    a reference evaluator that shares no code with unit_phase."""
+    return cmath.exp(1j * math.pi * (num % (2 * den)) / den)
 
 
 def annihilation_matrix(dim):
@@ -190,8 +196,8 @@ class TestKittenVectors:
         desc = build_descriptor(CoprimeFraction(m, n))
         loop = np.zeros(64, dtype=complex)
         for c, r in zip(desc.components, desc.rotations):
-            beta = RationalAngle(r, 2 * n).to_complex() * alpha
-            loop += c.value * coherent_vector(beta, 64)
+            value = _cmath_phase(c.phase.num, c.phase.den) / math.sqrt(c.inv_sqrt_n)
+            loop += value * coherent_vector(_cmath_phase(r, 2 * n) * alpha, 64)
         assert np.abs(kitten_vector_superposition(alpha, desc, 64) - loop).max() < 1e-15
 
     def test_superposition_at_alpha_zero(self):
@@ -305,7 +311,7 @@ class TestLoweringPowerIdentity:
             for step in range(f.N):
                 angle += Fraction(2 * f.M * (i + step), f.N)
                 mag *= math.sqrt(i + step + 1)
-            exact = RationalAngle(angle.numerator, angle.denominator).to_complex() * mag
+            exact = _cmath_phase(angle.numerator, angle.denominator) * mag
             assert abs(dense[i, i + f.N] - exact) < 1e-9 * mag
 
 

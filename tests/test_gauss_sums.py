@@ -19,6 +19,7 @@ from gausscat.gauss_sums import (
     ExactCoefficient,
     RationalAngle,
     _closed_numerators,
+    _coefficient_values,
     _k_blocks,
     _targets,
     closed_coefficients,
@@ -169,13 +170,13 @@ class TestRationalAngle:
         a, b = RationalAngle(n1, d1), RationalAngle(n2, d2)
         total = Fraction(n1, d1) + Fraction(n2, d2)
         added = RationalAngle(total.numerator, total.denominator)
-        assert abs(added.to_complex() - a.to_complex() * b.to_complex()) < 1e-12
+        values = unit_phase([added.num, a.num, b.num], [added.den, a.den, b.den])
+        assert abs(values[0] - values[1] * values[2]) < 1e-12
 
     def test_quarter_turns_are_exact(self):
-        assert RationalAngle(0, 1).to_complex() == 1.0 + 0.0j
-        assert RationalAngle(1, 1).to_complex() == -1.0 + 0.0j
-        assert RationalAngle(1, 2).to_complex() == 1.0j
-        assert RationalAngle(3, 2).to_complex() == -1.0j
+        angles = [RationalAngle(0, 1), RationalAngle(1, 1), RationalAngle(1, 2), RationalAngle(3, 2)]
+        values = unit_phase([a.num for a in angles], [a.den for a in angles])
+        assert values.tolist() == [1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j]
 
     def test_scaled_and_negated(self):
         # integer multiples and negatives are built from the numerator
@@ -194,15 +195,14 @@ class TestRationalAngle:
 
 class TestExactCoefficient:
     def test_magnitude_and_value(self):
-        c = ExactCoefficient(2, RationalAngle(7, 4))
-        assert abs(abs(c.value) - 1 / math.sqrt(2)) < 1e-15
-        assert abs(c.value - cmath.exp(-0.25j * math.pi) / math.sqrt(2)) < 1e-15
+        (value,) = _coefficient_values([ExactCoefficient(2, RationalAngle(7, 4))])
+        assert abs(abs(value) - 1 / math.sqrt(2)) < 1e-15
+        assert abs(value - cmath.exp(-0.25j * math.pi) / math.sqrt(2)) < 1e-15
 
     def test_value_takes_no_part_in_equality_or_hash(self):
         folded = ExactCoefficient(5, RationalAngle(-1, 1))
         plain = ExactCoefficient(5, RationalAngle(1, 1))
         assert folded == plain and hash(folded) == hash(plain)
-        assert folded.value == plain.value == -1 / math.sqrt(5)
         assert "value" not in repr(folded)
         with pytest.raises(TypeError):
             ExactCoefficient(5, RationalAngle(0, 1), value=1.0)
@@ -210,9 +210,9 @@ class TestExactCoefficient:
     def test_replace_recomputes_value(self):
         c = ExactCoefficient(3, RationalAngle(1, 6))
         moved = dataclasses.replace(c, phase=RationalAngle(3, 2))
-        assert moved.value == -1j / math.sqrt(3)
-        assert moved.value != c.value
-        assert dataclasses.replace(moved, inv_sqrt_n=4).value == -0.5j
+        assert moved == ExactCoefficient(3, RationalAngle(3, 2)) != c
+        values = _coefficient_values([moved, dataclasses.replace(moved, inv_sqrt_n=4)])
+        assert values.tolist() == [-1j / math.sqrt(3), -0.5j]
 
     def test_invalid_fields_rejected(self):
         with pytest.raises(ValueError):
@@ -248,11 +248,22 @@ class TestUnitPhase:
         # about 2**61 on), so a larger den raises instead of returning a wrong phase
         with pytest.raises(ValueError, match="2\\*\\*60"):
             unit_phase(1, den)
-        if isinstance(den, int):
-            with pytest.raises(ValueError):
-                RationalAngle(1, den).to_complex()
-            with pytest.raises(ValueError):
-                ExactCoefficient(1, RationalAngle(1, den)).value
+
+    @pytest.mark.parametrize("den", [0, -4, [3, 0]])
+    def test_den_below_one_is_a_value_error_naming_den(self, den):
+        # den 0 has no angle, and a negative den indexes outside the quarter turns
+        with pytest.raises(ValueError, match="den"):
+            unit_phase(1, den)
+
+    @pytest.mark.parametrize("nums", [1.5, [1.0, 2.0], np.array([3.5]), [1, 2**64]])
+    def test_non_integer_nums_is_a_type_error_naming_nums(self, nums):
+        # a float numerator would be truncated: 1.5 over 4 would read as 1 over 4
+        with pytest.raises(TypeError, match="nums"):
+            unit_phase(nums, 4)
+
+    @pytest.mark.parametrize("nums", [[], np.array([], dtype=float), np.zeros((2, 0))])
+    def test_empty_nums_give_an_empty_array(self, nums):
+        assert unit_phase(nums, 4).shape == np.shape(nums)
 
     @given(st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=40),
            st.integers(1, 5000), st.integers(1, 1000))
@@ -282,11 +293,10 @@ class TestUnitPhase:
         got = unit_phase(nums, dens)
         assert np.array_equal(_bits(got), _bits(unit_phase(np.array(nums), np.array(dens))))
         scalar = [complex(unit_phase(r, d)) for r, d in zip(nums, dens)]
-        angles = [RationalAngle(r, d).to_complex() for r, d in zip(nums, dens)]
         assert np.array_equal(_bits(got), _bits(np.array(scalar)))
-        assert np.array_equal(_bits(got), _bits(np.array(angles)))
-        values = [ExactCoefficient(n, RationalAngle(r, d)).value for r, d, n in rows]
-        assert np.array_equal(_bits(got / np.sqrt(inv_sqrt)), _bits(np.array(values)))
+        # the exact objects hold the reduced angles; their evaluator gives the same bits
+        values = _coefficient_values([ExactCoefficient(n, RationalAngle(r, d)) for r, d, n in rows])
+        assert np.array_equal(_bits(got / np.sqrt(inv_sqrt)), _bits(values))
 
 
 def _bits(z):
@@ -462,14 +472,15 @@ class TestClosedRoute:
         monkeypatch.setattr(gauss_sums, "unit_phase", counted)
         coeffs = closed_coefficients(CoprimeFraction(1, 4001))
         assert sum(evaluated) == 0
-        assert abs(coeffs[0].value) == pytest.approx(1 / math.sqrt(4001))
+        assert abs(_coefficient_values(coeffs[:1])[0]) == pytest.approx(1 / math.sqrt(4001))
         assert sum(evaluated) == 1
 
     @given(coprime_fractions_st(n_max=60), st.integers(0, 59))
     def test_closed_matches_direct(self, f, k):
         k %= f.N
         want = direct_coefficients(f)[0][k]
-        got = closed_coefficients(f)[k].value
+        c = closed_coefficients(f)[k]
+        got = _cmath_phase(c.phase.num, c.phase.den) / math.sqrt(c.inv_sqrt_n)
         assert abs(want - got) < 1e-12
 
     @pytest.mark.parametrize("m, n", [

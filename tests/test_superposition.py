@@ -43,8 +43,15 @@ def _rotations(desc):
     return [(a.num, a.den) for a in angles]
 
 
+def _cmath_phase(num, den):
+    """exp(i*pi*num/den) by cmath.exp of the angle reduced exactly mod 2*pi:
+    a reference evaluator that shares no code with unit_phase."""
+    return cmath.exp(1j * math.pi * (num % (2 * den)) / den)
+
+
 def _values(desc):
-    return np.array([c.value for c in desc.components])
+    return np.array([_cmath_phase(c.phase.num, c.phase.den) / math.sqrt(c.inv_sqrt_n)
+                     for c in desc.components])
 
 
 def _parse_descriptor(text):
@@ -89,7 +96,7 @@ class TestBuildDescriptor:
     def test_weights_sum_to_one(self):
         desc = build_descriptor(CoprimeFraction(2, 7))
         assert all(c.inv_sqrt_n == 7 for c in desc.components)
-        total = sum(abs(c.value) ** 2 for c in desc.components)
+        total = sum(abs(_values(desc)) ** 2)
         assert abs(total - 1.0) < 1e-14
 
     @pytest.mark.parametrize("m, n", [(1, 3), (2, 5), (1, 2), (3, 8), (5, 6)])
@@ -216,7 +223,7 @@ class TestPhaseSequence:
     @settings(max_examples=60)
     @given(coprime_fractions_st())
     def test_vectorized_targets_match_exact_sequence(self, f):
-        exact = np.array([t.to_complex() for t in _exact_phase_sequence(f)])
+        exact = np.array([_cmath_phase(t.num, t.den) for t in _exact_phase_sequence(f)])
         assert np.abs(_target_values(f) - exact).max() < 5e-15
 
 

@@ -10,8 +10,9 @@ import pytest
 
 from gausscat import wavefunc
 from gausscat.fock import coherent_vector, required_dimension
-from gausscat.gauss_sums import CoprimeFraction, RationalAngle
+from gausscat.gauss_sums import CoprimeFraction
 from gausscat.superposition import build_descriptor
+from gausscat.verify import spectral_error
 from gausscat.wavefunc import (
     AliasingWarning,
     GridSpec,
@@ -30,6 +31,12 @@ from gausscat.wavefunc import (
 )
 
 STANDARD_GRID = GridSpec(12.0, 2001)
+
+
+def _cmath_phase(num, den):
+    """exp(i*pi*num/den) by cmath.exp of the angle reduced exactly mod 2*pi:
+    a reference evaluator that shares no code with unit_phase."""
+    return cmath.exp(1j * math.pi * (num % (2 * den)) / den)
 
 
 class TestGridSpec:
@@ -152,7 +159,8 @@ class TestArrayShapes:
         desc = build_descriptor(CoprimeFraction(m, n))
         loop = np.zeros(x.shape, dtype=complex)
         for c, r in zip(desc.components, desc.rotations):
-            loop += c.value * psi_coherent(RationalAngle(r, 2 * n).to_complex() * alpha, x)
+            value = _cmath_phase(c.phase.num, c.phase.den) / math.sqrt(c.inv_sqrt_n)
+            loop += value * psi_coherent(_cmath_phase(r, 2 * n) * alpha, x)
         superposed = superposition_wavefunction(alpha, desc, x)
         assert superposed.shape == (3, 7)
         assert np.abs(superposed - loop).max() < 1e-15
@@ -287,10 +295,32 @@ class TestFracFourier:
         sample = kitten_wave_sample(1.0 + 0.5j, CoprimeFraction(1, 3), STANDARD_GRID, 64)
         assert np.array_equal(frac_fourier(sample, phi).values, sample.values[::-1])
 
-    def test_zero_angle_rejected(self):
+    @pytest.mark.parametrize("phi", [0.0, 2 * math.pi, -4 * math.pi])
+    def test_zero_angle_is_the_identity(self, phi):
+        # the kernel is the delta there: the input comes back unchanged
         sample = WaveSample(STANDARD_GRID, psi_coherent(1.0, STANDARD_GRID.x()))
-        with pytest.raises(ValueError):
-            frac_fourier(sample, 0.0)
+        assert np.array_equal(frac_fourier(sample, phi).values, sample.values)
+
+    @pytest.mark.parametrize("phi", [1e-3, 0.01, 0.03, math.pi - 1e-3, 2 * math.pi / 400])
+    def test_small_sine_on_the_default_grid(self, phi):
+        # one chirp-z step aliases here (3.05 at 1e-3, 0.53 at 0.03); split
+        # through +-pi/2, both steps have |sin| >= sqrt(3)/2
+        assert spectral_error(STANDARD_GRID, phi, 10) <= 1e-13
+
+    def test_integro_differential_at_a_small_angle(self):
+        # phi = 2*pi/400, where one chirp-z step reads 1.06
+        assert geneq_residual(1.0, CoprimeFraction(1, 400), STANDARD_GRID, 64) <= 1e-12
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("transform", [
+        reduce_angle,
+        lambda phi: mehler_kernel(0.1, 0.2, phi),
+        lambda phi: frac_fourier(WaveSample(STANDARD_GRID, psi_coherent(1.0, STANDARD_GRID.x())),
+                                 phi),
+    ], ids=["reduce_angle", "mehler_kernel", "frac_fourier"])
+    def test_non_finite_angle_is_a_value_error_naming_phi(self, transform, phi):
+        with pytest.raises(ValueError, match="phi"):
+            transform(phi)
 
     def test_boundary_mass_warning(self):
         grid = GridSpec(3.0, 61)
@@ -304,18 +334,20 @@ class TestChirpZTransform:
     the only place the dense P x P kernel is built."""
 
     @pytest.mark.parametrize("points", [201, 401])
-    @pytest.mark.parametrize("phi, bound", [
-        (2.0, 1e-13), (-1.3, 1e-13), (math.pi / 2, 1e-13), (-math.pi / 2, 1e-13),
-        (7.0, 1e-13),
-        # near the pole the chirps carry phases of hundreds of radians
-        (3.0, 1e-12), (-3.1, 1e-12),
+    @pytest.mark.parametrize("phi, steps", [
+        (2.0, [2.0]), (-1.3, [-1.3]), (math.pi / 2, [math.pi / 2]), (-math.pi / 2, [-math.pi / 2]),
+        (7.0, [7.0]),
+        # near the pole one dense sum aliases (0.75 off exp(-i phi n) psi_n at
+        # 3.0 and 201 points), so the transform is two sums through +-pi/2
+        (3.0, [math.pi / 2, 3.0 - math.pi / 2]), (-3.1, [-math.pi / 2, math.pi / 2 - 3.1]),
     ])
-    def test_matches_the_dense_quadrature(self, points, phi, bound):
+    def test_matches_the_dense_quadrature(self, points, phi, steps):
         grid = GridSpec(10.0, points)
         x = grid.x()
-        values = np.vstack([hermite_basis(6, x), psi_coherent(1.0 + 0.5j, x)])
-        dense = (grid.trapezoid_weights() * values) @ mehler_kernel(x[:, None], x[None, :], phi).T
-        assert np.abs(wavefunc._trapezoid_transform(grid, values, phi) - dense).max() <= bound
+        values = dense = np.vstack([hermite_basis(6, x), psi_coherent(1.0 + 0.5j, x)])
+        for step in steps:
+            dense = (grid.trapezoid_weights() * dense) @ mehler_kernel(x[:, None], x[None, :], step).T
+        assert np.abs(wavefunc._trapezoid_transform(grid, values, phi) - dense).max() <= 1e-13
 
     def test_wide_grid_integro_differential(self):
         # 10^5 points, where the dense kernel would need 160 GB
