@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 verification/discrepancy failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import os
@@ -26,8 +25,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .fock import (coherent_underflows, evolution_fidelity, required_dimension,
-                   within_time_bound, within_truncation_guard)
+from .fock import _amplitude_guard, evolution_fidelity, within_time_bound
 from .gauss_sums import (
     CoprimeFraction,
     _coefficient_values,
@@ -67,17 +65,6 @@ def _print_columns(fmt: str, columns: dict, head: dict | None = None,
     row_format = ",".join(["%.17g"] * len(columns))
     for row in zip(*(np.asarray(col).tolist() for col in columns.values())):
         print(row_format % row)
-
-
-def _parse_alpha(args: argparse.Namespace) -> complex:
-    try:
-        re_part, im_part = args.alpha.split(",")
-        alpha = complex(float(re_part), float(im_part))
-    except ValueError:
-        args.error(f"--alpha expects 're,im', got {args.alpha!r}")
-    if not cmath.isfinite(alpha):
-        args.error(f"--alpha must be finite, got {args.alpha!r}")
-    return alpha
 
 
 def _fraction(args: argparse.Namespace) -> CoprimeFraction:
@@ -156,18 +143,20 @@ def cmd_state(args: argparse.Namespace) -> int:
 
 
 def _alpha_within_guard(args: argparse.Namespace) -> complex:
-    """--alpha, once it is finite and does not underflow the vacuum amplitude,
-    and --dim is positive and keeps the coherent-state tail negligible."""
-    alpha = _parse_alpha(args)
-    a2 = abs(alpha) * abs(alpha)  # inf, where a float ** would raise OverflowError
-    if coherent_underflows(alpha):
-        args.error(f"--alpha: |alpha|^2 = {a2:.6g} underflows exp(-|alpha|^2/2)")
-    if args.dim < 1:
-        args.error(f"--dim must be a positive integer, got {args.dim}")
-    if not within_truncation_guard(alpha, args.dim):
-        args.error(
-            f"|alpha|^2 = {a2:.6g} violates the truncation guard at "
-            f"dim = {args.dim}; use --dim {required_dimension(alpha)} or larger")
+    """--alpha as 're,im', once ``fock._amplitude_guard`` passes it with --dim: the guard's
+    ValueError, which starts with the argument's name, is a usage error naming that flag,
+    and its truncation message one naming --dim."""
+    try:
+        re_part, im_part = args.alpha.split(",")
+        alpha = complex(float(re_part), float(im_part))
+    except ValueError:
+        args.error(f"--alpha expects 're,im', got {args.alpha!r}")
+    try:
+        message = _amplitude_guard(alpha, args.dim)
+    except ValueError as exc:
+        args.error(f"--{exc}")
+    if message is not None:
+        args.error(f"--dim: {message}")
     return alpha
 
 

@@ -78,10 +78,17 @@ def required_dimension(alpha: complex) -> int:
     return dim if within_truncation_guard(alpha, dim) else dim + 1
 
 
+def _dimension(dim: int, least: int = 0) -> int:
+    """dim, or ValueError naming it where it is below least."""
+    if dim < least:
+        raise ValueError(f"dim: must be at least {least}, got {dim}")
+    return dim
+
+
 def within_truncation_guard(alpha: complex, dim: int) -> bool:
     """|alpha|^2 <= dim - 4*sqrt(dim), clamped at zero so that alpha = 0,
-    whose vacuum vector is exact at any dim >= 1, always passes."""
-    return abs(alpha) * abs(alpha) <= max(0.0, dim - 4.0 * math.sqrt(dim))
+    whose vacuum vector is exact at any dim >= 1, always passes; ValueError naming dim below 1."""
+    return abs(alpha) * abs(alpha) <= max(0.0, _dimension(dim, 1) - 4.0 * math.sqrt(dim))
 
 
 def within_time_bound(t: float, dim: int) -> bool:
@@ -95,40 +102,45 @@ def coherent_underflows(alpha: complex) -> bool:
 
 
 def rotation_diagonal(f: CoprimeFraction, dim: int) -> np.ndarray:
-    """Diagonal of U(phi) = exp(-i*phi*(L - 1/2)): entries exp(-i*phi*n)."""
-    return unit_phase(-2 * f.M * np.arange(dim, dtype=np.int64), f.N)
+    """Diagonal of U(phi) = exp(-i*phi*(L - 1/2)): entries exp(-i*phi*n), n < ``_dimension``."""
+    return unit_phase(-2 * f.M * np.arange(_dimension(dim), dtype=np.int64), f.N)
 
 
 def kerr_diagonal(f: CoprimeFraction, dim: int) -> np.ndarray:
     """Diagonal of the Kerr unitary G(phi): entries exp(i*phi*n*(n-1)/2).
 
-    On |n> the generator (L - 1/2)(L - 3/2) acts as n*(n-1).
+    On |n> the generator (L - 1/2)(L - 3/2) acts as n*(n-1), n < ``_dimension``.
     """
-    n = np.arange(dim, dtype=np.int64)
+    n = np.arange(_dimension(dim), dtype=np.int64)
     return unit_phase(f.M * n * (n - 1), f.N)
+
+
+def _amplitude_guard(alpha, dim: int) -> str | None:
+    """The one rule for which (alpha, dim) have a coherent vector, on the largest |alpha|:
+    ValueError starting ``dim: `` where dim < 1, else ``alpha: `` where an amplitude is not
+    finite or its exp(-|alpha|^2/2) underflows (``coherent_underflows``); then the message
+    of |alpha|^2 > dim - 4*sqrt(dim), the truncation bound, or None within it."""
+    _dimension(dim, 1)
+    alpha = np.asarray(alpha, dtype=complex)
+    if not np.isfinite(alpha).all():
+        raise ValueError(f"alpha: amplitude {alpha[~np.isfinite(alpha)][0]} is not finite")
+    peak = float(np.abs(alpha).max(initial=0.0))
+    if coherent_underflows(peak):
+        raise ValueError(f"alpha: |alpha|^2 = {peak * peak:.6g}: exp(-|alpha|^2/2) underflows")
+    if not within_truncation_guard(peak, dim):
+        return (f"|alpha|^2 = {peak * peak:.3g} exceeds dim - 4*sqrt(dim) = "
+                f"{dim - 4.0 * math.sqrt(dim):.3g}; need dim >= {required_dimension(peak)}")
 
 
 def coherent_vector(alpha, dim: int) -> np.ndarray:
     """Coherent-state coefficients exp(-|alpha|^2/2) alpha^n / sqrt(n!), shape (..., dim)
     for an array of amplitudes: the running product of [exp(-|alpha|^2/2), alpha/sqrt(1),
     ..., alpha/sqrt(dim-1)], so a scalar call equals its row of an array call bit for bit.
-    Guards on the largest |alpha|: ValueError if it is not finite or underflows
-    (``coherent_underflows``), TruncationWarning if |alpha|^2 > dim - 4*sqrt(dim)."""
-    if dim < 1:
-        raise ValueError("dimension must be positive")
+    ``_amplitude_guard``'s ValueError propagates, and its truncation message is warned
+    as a TruncationWarning."""
+    if (message := _amplitude_guard(alpha, dim)) is not None:
+        warnings.warn(message, TruncationWarning, stacklevel=2)
     alpha = np.asarray(alpha, dtype=complex)
-    if not np.isfinite(alpha).all():
-        raise ValueError(f"amplitude {alpha[~np.isfinite(alpha)][0]} is not finite")
-    peak = float(np.abs(alpha).max(initial=0.0))
-    if coherent_underflows(peak):
-        raise ValueError(f"|alpha|^2 = {peak * peak:.6g}: exp(-|alpha|^2/2) underflows")
-    if not within_truncation_guard(peak, dim):
-        warnings.warn(
-            f"|alpha|^2 = {peak * peak:.3g} exceeds dim - 4*sqrt(dim) = "
-            f"{dim - 4.0 * math.sqrt(dim):.3g}; need dim >= {required_dimension(peak)}",
-            TruncationWarning,
-            stacklevel=2,
-        )
     steps = np.empty(alpha.shape + (dim,), dtype=complex)
     steps[..., 0] = np.exp(-0.5 * _abs_squared(alpha))
     steps[..., 1:] = alpha[..., None] / np.sqrt(np.arange(1, dim))
@@ -210,8 +222,7 @@ def time_evolution_residual(alpha: complex, f: CoprimeFraction, times: Iterable[
 def kerr_identity_residual(f: CoprimeFraction, dim: int) -> int:
     """Number of n < dim where |alpha>_phi = G(phi)^{-1} |alpha> fails, for every alpha at once
     (the coherent entries multiply both sides): exactly 0.  ValueError naming dim below 1."""
-    if dim < 1:
-        raise ValueError(f"need dim >= 1 (dim={dim})")
+    _dimension(dim, 1)
     return int(np.count_nonzero(kerr_diagonal(f, dim).conj() != _series_phases(f, dim)))
 
 

@@ -171,10 +171,12 @@ def unit_phase(nums: np.typing.ArrayLike, den: np.typing.ArrayLike) -> np.ndarra
     the nearest quarter turn q plus theta = (pi/2)*off/den in [-pi/4, pi/4]; the
     value is exp(i*theta) times i**q, an exact product.  So 1, -1 and +-i are exact,
     unit_phase(-r, d) == unit_phase(r, d).conj(), and unit_phase(k*r, k*d) == unit_phase(r, d).
-    A den below 1 raises ``ValueError``, and nums without an integer dtype (unless
-    empty) ``TypeError`` instead of a truncated angle.
+    A den below 1 raises ``ValueError``, and a den without an integer dtype, or nums
+    without one (unless empty), ``TypeError`` instead of a truncated angle.
     """
-    if ((den := np.asarray(den, dtype=np.int64)) < 1).any():
+    if not np.issubdtype((den := np.asarray(den)).dtype, np.integer):
+        raise TypeError(f"unit_phase: den must have an integer dtype, got {den.dtype}")
+    if ((den := den.astype(np.int64, copy=False)) < 1).any():
         raise ValueError(f"unit_phase: den must be at least 1, got {den.min()}")
     if (den > 2**60).any():
         raise ValueError("unit_phase reduces in int64, so den must be at most 2**60")

@@ -99,16 +99,27 @@ class WaveSample:
         return math.sqrt(float(self.grid.trapezoid_weights() @ np.abs(self.values) ** 2))
 
 
+def _positions(name: str, x) -> np.ndarray:
+    """x as a float array; ValueError naming it where a position is not finite."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name}: position {x[~np.isfinite(x)][0]} is not finite")
+    return x
+
+
 def hermite_basis(n_max: int, x: np.ndarray) -> np.ndarray:
     """Orthonormal oscillator eigenfunctions psi_0 .. psi_{n_max} sampled on
-    x, returned as an (n_max+1, len(x)) array.
+    x, returned as an (n_max+1, len(x)) array; n_max = -1 is the empty basis.
 
     Uses the normalized recurrence
         psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1}
     so no factorials or large polynomial values ever appear.  psi_0 is 0.0
     beyond |x| ~ 38.6, so it is evaluated on min(|x|, 40), where x^2 cannot overflow.
+    ValueError naming n_max below -1, or x where a position is not finite (``_positions``).
     """
-    x = np.asarray(x, dtype=float)
+    if n_max < -1:
+        raise ValueError(f"n_max: must be at least -1, got {n_max}")
+    x = _positions("x", x)
     basis = np.zeros((n_max + 1, x.size))
     basis[:1] = math.pi ** -0.25 * np.exp(-0.5 * np.minimum(np.abs(x), 40.0) ** 2)
     if n_max >= 1:
@@ -123,15 +134,15 @@ def psi_coherent(alpha: complex, x) -> np.ndarray:
     """Coherent-state wavefunction pi^{-1/4} exp(-|a|^2/2 - a^2/2 + sqrt(2) a x - x^2/2), a
     broadcast with x, as its completed square exp(-d^2/2 + i (sqrt(2) Im a x - Re a Im a)),
     d = x - sqrt(2) Re a clamped at 40 as in ``hermite_basis``.  ValueError naming x where it
-    is not finite, else alpha where that phase is not finite or above 2**53 (no digits left)."""
-    x = np.asarray(x, dtype=float)
+    is not finite (``_positions``), else alpha where that phase is not finite or above 2**53
+    (no digits left)."""
+    x = _positions("x", x)
     p, q = np.real(alpha), np.imag(alpha)
     with np.errstate(over="ignore", invalid="ignore"):
         square = np.minimum(np.square(x - math.sqrt(2.0) * p), 1600.0)
         phase = math.sqrt(2.0) * q * x - p * q
     if not (np.abs(phase) <= 2.0 ** 53).all():
-        name = "alpha" if np.isfinite(x).all() else "x"
-        raise ValueError(f"{name}: the phase reaches {np.max(np.abs(phase)):g}, beyond 2**53")
+        raise ValueError(f"alpha: the phase reaches {np.max(np.abs(phase)):g}, beyond 2**53")
     return math.pi ** -0.25 * np.exp(-0.5 * square + 1j * phase)
 
 
@@ -140,9 +151,10 @@ def psi_cat_P(alpha: complex, x) -> np.ndarray:
     sqrt(2)/pi^{1/4} exp((a^2 - |a|^2 - x^2)/2) cos(sqrt(2) a x - pi/4).
 
     The cosine is two exponentials with the Gaussian inside each: no factor overflows alone.
-    Substituting alpha -> -i*alpha gives the Yurke-Stoler state.
+    Substituting alpha -> -i*alpha gives the Yurke-Stoler state.  ValueError naming x where a
+    position is not finite (``_positions``), or alpha where |alpha|^2 is not.
     """
-    x = np.asarray(x, dtype=float)
+    x = _positions("x", x)
     gauss = 0.5 * (alpha * alpha - _abs_squared(alpha) - x * x)
     z = 1j * (math.sqrt(2.0) * alpha * x - math.pi / 4.0)
     return (np.exp(gauss + z) + np.exp(gauss - z)) / (math.sqrt(2.0) * math.pi ** 0.25)
@@ -154,9 +166,10 @@ def psi_cat_F(alpha: complex, x) -> np.ndarray:
                         + e^{i a^2/2 + i pi/4} sinh((1-i) a x)).
 
     This expression is exactly pi^{1/4} times the normalized 3/4 superposition.
-    cosh and sinh are two exponentials each, with the Gaussian inside each term.
+    cosh and sinh are two exponentials each, with the Gaussian inside each term.  ValueError
+    naming x where a position is not finite (``_positions``), or alpha where |alpha|^2 is not.
     """
-    x = np.asarray(x, dtype=float)
+    x = _positions("x", x)
     gauss = -0.5 * (_abs_squared(alpha) + x * x)
     c, s = gauss - 0.5j * alpha * alpha, gauss + 0.5j * alpha * alpha + 0.25j * math.pi
     u, v = (1.0 + 1.0j) * alpha * x, (1.0 - 1.0j) * alpha * x
@@ -165,7 +178,7 @@ def psi_cat_F(alpha: complex, x) -> np.ndarray:
 
 def psi_cat_F_inverse(alpha: complex, x) -> np.ndarray:
     """Inverse-Fourier variant via the conjugation rule
-    psi^{(F^-1)}_alpha(x) = conj(psi^{(F)}_{conj(alpha)}(x))."""
+    psi^{(F^-1)}_alpha(x) = conj(psi^{(F)}_{conj(alpha)}(x)); ValueErrors as ``psi_cat_F``."""
     return np.conj(psi_cat_F(complex(alpha).conjugate(), x))
 
 
@@ -199,14 +212,14 @@ def mehler_kernel(x, y, phi: float) -> np.ndarray:
 
     At phi = -pi/2 this is the ordinary Fourier kernel e^{ixy}/sqrt(2*pi).
     Raises for phi a multiple of pi, where the kernel degenerates to the
-    identity or parity delta; the transform handles both cases.
+    identity or parity delta; the transform handles both cases.  ValueError naming
+    x or y where a position is not finite (``_positions``).
     """
     phi = reduce_angle(phi)
     s = math.sin(phi)
     if abs(s) < 1e-9:
         raise ValueError("kernel is singular for phi a multiple of pi")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _positions("x", x), _positions("y", y)
     mu = np.exp(1j * (0.5 * phi - 0.25 * math.pi * math.copysign(1.0, s)))
     return (mu / math.sqrt(2.0 * math.pi * abs(s))
             * np.exp(1j * ((x * x + y * y) * math.cos(phi) - 2.0 * x * y) / (2.0 * s)))
@@ -270,9 +283,11 @@ def frac_fourier(ws: WaveSample, phi: float) -> WaveSample:
 
 def kitten_wave_sample(alpha: complex, f: CoprimeFraction, grid: GridSpec,
                        dim: int) -> WaveSample:
-    """Kitten wavefunction synthesized from its truncated Fock series."""
+    """Kitten wavefunction synthesized from its truncated Fock series, as basis.T @ coeffs:
+    a float matrix times a complex vector in that order gives the same bits under any
+    BLAS thread count, where coeffs @ basis does not."""
     coeffs = kitten_vector_series(alpha, f, dim)
-    return WaveSample(grid, coeffs @ hermite_basis(dim - 1, grid.x()))
+    return WaveSample(grid, hermite_basis(dim - 1, grid.x()).T @ coeffs)
 
 
 def geneq_residual(alpha: complex, f: CoprimeFraction, grid: GridSpec, dim: int) -> float:
@@ -285,10 +300,11 @@ def geneq_residual(alpha: complex, f: CoprimeFraction, grid: GridSpec, dim: int)
     action (d/dx + x) psi_n = sqrt(2n) psi_{n-1} and ``frac_fourier`` of the series
     without the top term c_{dim-1} psi_{dim-1}, which the ladder side cannot hold
     (for phi = pi, N = 2, the parity map psi(-x)); each is exactly
-    sqrt(2) alpha sum_{n <= dim-2} exp(-i phi n) c_n psi_n.
+    sqrt(2) alpha sum_{n <= dim-2} exp(-i phi n) c_n psi_n.  Both sums are basis.T @ c,
+    as in ``kitten_wave_sample``, so the value does not depend on the BLAS thread count.
     """
     coeffs = kitten_vector_series(alpha, f, dim)
     basis = hermite_basis(dim - 2, grid.x())
-    lhs = (np.sqrt(2.0 * np.arange(1, dim)) * coeffs[1:]) @ basis
-    rhs = frac_fourier(WaveSample(grid, coeffs[:-1] @ basis), f.angle_radians).values
+    lhs = basis.T @ (np.sqrt(2.0 * np.arange(1, dim)) * coeffs[1:])
+    rhs = frac_fourier(WaveSample(grid, basis.T @ coeffs[:-1]), f.angle_radians).values
     return float(np.abs(lhs - math.sqrt(2.0) * alpha * rhs).max())

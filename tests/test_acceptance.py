@@ -53,8 +53,8 @@ FLOORS = {
     "kerr-matrix-identity": "0x1.6a09e667f3bcdp-52",
     "time-evolution": "0x1.6414f28c8c61bp-50",
     "kernel-spectral": "0x1.dbd2f298503a0p-49",
-    "integro-differential": "0x1.d692f95c389fdp-50",
-    "integro-differential-parity": "0x1.0000000000000p-48",
+    "integro-differential": "0x1.0a4b06be193b8p-49",
+    "integro-differential-parity": "0x1.1800000000000p-48",
     "cat-wavefunction-parity": "0x1.99ccc999fff00p-52",
     "cat-wavefunction-fourier": "0x1.060dad910e74dp-51",
 }

@@ -1,13 +1,19 @@
 """CLI behavior: formats, determinism, exit codes."""
 
+import cmath
+import contextlib
 import hashlib
+import io
 import json
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from gausscat.cli import _print_columns, main
+from gausscat.fock import _amplitude_guard
 from gausscat.gauss_sums import CoprimeFraction
 from gausscat.superposition import build_descriptor, descriptor_to_json
 from gausscat.wavefunc import psi_cat_P
@@ -231,7 +237,8 @@ class TestWavefunction:
         code, out, err = run_cli(capsys, "wavefunction", "1", "2", "--grid-half-width",
                                  "8.98e307", "--grid-points", "5", "--format", "json")
         assert code == 0
-        assert json.loads(out)["abs2"] == [0.0, 0.0, 0.5641895835477565, 0.0, 0.0]
+        # psi_0(0)^2 = 1/sqrt(pi), exactly as math.pi ** -0.5 rounds it
+        assert json.loads(out)["abs2"] == [0.0, 0.0, math.pi ** -0.5, 0.0, 0.0]
         lines = err.splitlines()
         assert lines[0].startswith("# trapezoid norm = ")
         assert len(lines) == 2 and lines[1].startswith("norm-drift: ")
@@ -306,6 +313,33 @@ class TestWavefunction:
         code, small_dim, _ = run_cli(capsys, *args, "--dim", "8")
         assert code == 0
         assert small_dim == default_dim
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, 45.0), st.floats(-math.pi, math.pi), st.integers(-2, 2000))
+    @example(9.0, 0.0, 16)  # the truncation bound
+    @example(40.0, 0.0, 1800)  # exp(-|alpha|^2/2) underflows
+    @example(0.0, 0.0, 0)  # no dimension
+    def test_alpha_and_dim_exit_2_exactly_where_the_guard_refuses(self, radius, angle, dim):
+        # the CLI states no rule of its own: the library's guard decides, and the
+        # usage error is "--" plus the guard's message, which names the flag
+        alpha = cmath.rect(radius, angle)
+        try:
+            message = _amplitude_guard(alpha, dim)
+            refusal = None if message is None else f"--dim: {message}"
+        except ValueError as exc:
+            refusal = f"--{exc}"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(["evolve", "1", "3", f"--alpha={alpha.real!r},{alpha.imag!r}",
+                             "--dim", str(dim), "--t-steps", "2"])
+            except SystemExit as exc:
+                code = exc.code
+        if refusal is None:
+            assert code == 0
+        else:
+            assert code == 2
+            assert err.getvalue().splitlines()[-1] == f"gausscat evolve: error: {refusal}"
 
 
 class TestEvolve:

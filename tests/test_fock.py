@@ -34,6 +34,7 @@ from gausscat.fock import (
 from gausscat.gauss_sums import CoprimeFraction, unit_phase
 from gausscat.superposition import build_descriptor
 from gausscat.verify import TOLERANCES
+from references import _cmath_phase
 
 
 @st.composite
@@ -45,12 +46,6 @@ def small_fractions_st(draw, n_max=10):
 
 disc_alphas_st = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
                                     allow_infinity=False)
-
-
-def _cmath_phase(num, den):
-    """exp(i*pi*num/den) by cmath.exp of the angle reduced exactly mod 2*pi:
-    a reference evaluator that shares no code with unit_phase."""
-    return cmath.exp(1j * math.pi * (num % (2 * den)) / den)
 
 
 def annihilation_matrix(dim):
@@ -92,7 +87,7 @@ class TestCoherentVector:
 
     def test_underflowing_amplitude_raises(self):
         # exp(-|alpha|^2/2) is subnormal above |alpha|^2 ~ 1416.8
-        with pytest.raises(ValueError, match=r"\|alpha\|\^2 = 1482"):
+        with pytest.raises(ValueError, match=r"^alpha: \|alpha\|\^2 = 1482"):
             coherent_vector(38.5, 1800)
         assert coherent_underflows(38.5) and not coherent_underflows(37.6)
 
@@ -103,14 +98,14 @@ class TestCoherentVector:
     def test_huge_finite_amplitude_underflows_without_overflow(self, alpha):
         # |alpha|^2 is inf here: a float ** would raise OverflowError
         assert coherent_underflows(alpha) and not within_truncation_guard(alpha, 10 ** 6)
-        with pytest.raises(ValueError, match=r"\|alpha\|\^2 = inf"):
+        with pytest.raises(ValueError, match=r"^alpha: \|alpha\|\^2 = inf"):
             coherent_vector(alpha, 8)
 
     @pytest.mark.parametrize("alpha", [
         float("nan"), float("inf"), complex(0.0, float("-inf")), complex(float("nan"), 1.0),
         [0.5, float("nan")], np.array([[1.0, 2.0], [complex(float("inf"), 0.0), 0.0]])])
     def test_non_finite_amplitude_is_named(self, alpha):
-        with pytest.raises(ValueError, match=r"amplitude .*(nan|inf).* is not finite"):
+        with pytest.raises(ValueError, match=r"^alpha: amplitude .*(nan|inf).* is not finite"):
             coherent_vector(alpha, 8)
 
     @given(st.lists(st.complex_numbers(max_magnitude=5.0, allow_nan=False,
@@ -134,8 +129,22 @@ class TestCoherentVector:
     def test_guards_apply_to_the_largest_amplitude(self):
         with pytest.warns(TruncationWarning, match="need dim >= 70"):
             coherent_vector([0.0, 1.0, 6.0], 16)
-        with pytest.raises(ValueError, match=r"\|alpha\|\^2 = 1482"):
+        with pytest.raises(ValueError, match=r"^alpha: \|alpha\|\^2 = 1482"):
             coherent_vector([0.0, 38.5j], 1800)
+
+    @pytest.mark.parametrize("alpha, dim", [(1.0, 0), (float("nan"), 0), (50.0, -2)])
+    def test_dim_below_one_is_a_value_error_naming_dim_first(self, alpha, dim):
+        # the guard checks dim before any amplitude
+        with pytest.raises(ValueError, match=f"^dim: must be at least 1, got {dim}$"):
+            coherent_vector(alpha, dim)
+
+    def test_warns_the_truncation_message_the_guard_returns(self):
+        assert fock._amplitude_guard(9.0, 126) is None
+        message = fock._amplitude_guard(9.0, 16)
+        assert message == "|alpha|^2 = 81 exceeds dim - 4*sqrt(dim) = 0; need dim >= 126"
+        with pytest.warns(TruncationWarning) as record:
+            coherent_vector(9.0, 16)
+        assert [str(w.message) for w in record] == [message]
 
     def test_required_dimension_satisfies_guard(self):
         for alpha in (0.5, 2.0, 6.0, 3.0 + 4.0j):

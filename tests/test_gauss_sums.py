@@ -30,13 +30,7 @@ from gausscat.gauss_sums import (
 )
 from gausscat.superposition import coefficients_by_inverse_dft, verify_forward_dft
 from gausscat.verify import coprime_fractions
-
-
-@st.composite
-def coprime_fractions_st(draw, n_max=60):
-    n = draw(st.integers(min_value=2, max_value=n_max))
-    m = draw(st.sampled_from([m for m in range(1, n) if math.gcd(m, n) == 1]))
-    return CoprimeFraction(m, n)
+from references import _cmath_phase, coprime_fractions_st
 
 
 class TestGcd:
@@ -261,6 +255,12 @@ class TestUnitPhase:
         with pytest.raises(TypeError, match="nums"):
             unit_phase(nums, 4)
 
+    @pytest.mark.parametrize("den", [2.5, 2.0, [3, 4.0], np.array([2.5]), True])
+    def test_non_integer_den_is_a_type_error_naming_den(self, den):
+        # a float den would be truncated: 1 over 2.5 would read as 1 over 2, i.e. 1j
+        with pytest.raises(TypeError, match="^unit_phase: den "):
+            unit_phase(1, den)
+
     @pytest.mark.parametrize("nums", [[], np.array([], dtype=float), np.zeros((2, 0))])
     def test_empty_nums_give_an_empty_array(self, nums):
         assert unit_phase(nums, 4).shape == np.shape(nums)
@@ -302,12 +302,6 @@ class TestUnitPhase:
 def _bits(z):
     """The bit patterns of a complex array, so that -0.0 and 0.0 differ."""
     return np.ascontiguousarray(z, dtype=complex).view(np.int64)
-
-
-def _cmath_phase(num, den):
-    """exp(i*pi*num/den) by cmath.exp of the angle reduced exactly mod 2*pi:
-    a reference evaluator that shares no code with unit_phase."""
-    return cmath.exp(1j * math.pi * (num % (2 * den)) / den)
 
 
 def _direct_reference(f, k):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from gausscat import wavefunc
-from gausscat.fock import coherent_vector, required_dimension
+from gausscat.fock import (coherent_vector, kerr_diagonal, required_dimension,
+                           rotation_diagonal, within_truncation_guard)
 from gausscat.gauss_sums import CoprimeFraction
 from gausscat.superposition import build_descriptor
 from gausscat.verify import spectral_error
@@ -29,14 +30,9 @@ from gausscat.wavefunc import (
     reduce_angle,
     superposition_wavefunction,
 )
+from references import _cmath_phase
 
 STANDARD_GRID = GridSpec(12.0, 2001)
-
-
-def _cmath_phase(num, den):
-    """exp(i*pi*num/den) by cmath.exp of the angle reduced exactly mod 2*pi:
-    a reference evaluator that shares no code with unit_phase."""
-    return cmath.exp(1j * math.pi * (num % (2 * den)) / den)
 
 
 class TestGridSpec:
@@ -189,6 +185,35 @@ class TestHugeAmplitudes:
         # magnitude exp(-(x - sqrt(2) Re a)^2/2), phase sqrt(2) Im(a) x - Re(a) Im(a):
         # at x = 0 that is exp(-(Re a)^2) with phase 0, and |alpha|^2 is never formed
         assert psi_coherent(alpha, 0.0) == value
+
+
+_THIRD = CoprimeFraction(1, 3)
+
+# a position that is not finite, or a size below its least value, each by the argument's name
+_BAD_ARGUMENTS = {
+    "hermite_basis-x-inf": ("x", lambda: hermite_basis(1, [math.inf])),
+    "hermite_basis-n_max-negative": ("n_max", lambda: hermite_basis(-3, np.zeros(3))),
+    "mehler_kernel-x-nan": ("x", lambda: mehler_kernel(math.nan, 0.0, 1.0)),
+    "mehler_kernel-y-inf": ("y", lambda: mehler_kernel(0.0, math.inf, 1.0)),
+    "psi_cat_P-x-nan": ("x", lambda: psi_cat_P(1.0, math.nan)),
+    "psi_cat_F-x-nan": ("x", lambda: psi_cat_F(1.0, math.nan)),
+    "psi_cat_F_inverse-x-inf": ("x", lambda: psi_cat_F_inverse(1.0, math.inf)),
+    "rotation_diagonal-dim-negative": ("dim", lambda: rotation_diagonal(_THIRD, -2)),
+    "kerr_diagonal-dim-negative": ("dim", lambda: kerr_diagonal(_THIRD, -2)),
+    "within_truncation_guard-dim-negative": ("dim", lambda: within_truncation_guard(1.0, -1)),
+}
+
+
+class TestNamedArguments:
+    @pytest.mark.parametrize("case", list(_BAD_ARGUMENTS))
+    def test_bad_position_or_size_is_a_value_error_naming_it(self, case):
+        name, call = _BAD_ARGUMENTS[case]
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            call()
+
+    def test_empty_sizes_stay_valid(self):
+        assert hermite_basis(-1, np.zeros(3)).shape == (0, 3)
+        assert rotation_diagonal(_THIRD, 0).shape == kerr_diagonal(_THIRD, 0).shape == (0,)
 
 
 class TestCatWavefunctions:
