@@ -10,7 +10,9 @@ Subcommands:
 
 Output is deterministic: the same arguments produce byte-identical output.
 One column writer prints the tables of wavefunction, evolve and coeffs --format
-csv, so their CSV and JSON forms carry the same numbers.
+csv, so their CSV and JSON forms carry the same numbers.  state and coeffs --format json
+write json.dumps(indent=2)'s text from one template per component or row; verify
+--format json and the column writer's one-line JSON go through json.dumps.
 Exit codes: 0 success, 1 verification/discrepancy failure, 2 usage error.
 """
 
@@ -34,9 +36,9 @@ from .gauss_sums import (
 )
 from .superposition import (
     KittenDescriptor,
+    _COEFF_JSON,
     _exact_components,
     build_descriptor,
-    coefficient_to_dict,
     coefficients_by_inverse_dft,
     descriptor_to_json,
 )
@@ -74,6 +76,25 @@ def _fraction(args: argparse.Namespace) -> CoprimeFraction:
         args.error(str(exc))
 
 
+# One row of ``coeffs --format json``, as ``json.dumps(indent=2)`` lays it out.
+_ROW_JSON = ('    {\n      "k": %d,\n      "closed": ' + _COEFF_JSON + ',\n      "direct": [\n'
+             '        %s,\n        %s\n      ],\n      "inverse_dft": [\n        %s,\n        %s\n'
+             '      ],\n      "discrepancy": %s\n    }')
+
+
+def _coeffs_json(f: CoprimeFraction, closed: list, direct: np.ndarray, idft: np.ndarray,
+                 discrepancies: np.ndarray) -> str:
+    """The table as the text of ``json.dumps(obj, indent=2)``, one template per row joined once;
+    its floats are the C encoder's text of one flat list (repr, NaN, +-Infinity), split."""
+    floats = np.column_stack([direct.real, direct.imag, idft.real, idft.imag, discrepancies])
+    texts = json.dumps(floats.ravel().tolist() + [float(discrepancies.max())])[1:-1].split(", ")
+    rows = [_ROW_JSON % (k, c.phase.num, c.phase.den, c.inv_sqrt_n, *texts[5 * k:5 * k + 5])
+            for k, c in enumerate(closed)]
+    rows[0] = f'{{\n  "M": {f.M},\n  "N": {f.N},\n  "rows": [\n' + rows[0]
+    rows[-1] += f'\n  ],\n  "max_discrepancy": {texts[-1]}\n}}'
+    return ",\n".join(rows)
+
+
 def cmd_coeffs(args: argparse.Namespace) -> int:
     f = _fraction(args)
     closed = closed_coefficients(f)
@@ -82,25 +103,9 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     idft = coefficients_by_inverse_dft(f)[0]
     direct_disc, idft_disc = np.abs(closed_vals - direct), np.abs(closed_vals - idft)
     discrepancies = np.maximum(direct_disc, idft_disc)
-    max_disc = float(discrepancies.max())
 
     if args.format == "json":
-        obj = {
-            "M": f.M,
-            "N": f.N,
-            "rows": [
-                {
-                    "k": k,
-                    "closed": coefficient_to_dict(closed[k]),
-                    "direct": [direct[k].real, direct[k].imag],
-                    "inverse_dft": [idft[k].real, idft[k].imag],
-                    "discrepancy": float(discrepancies[k]),
-                }
-                for k in range(f.N)
-            ],
-            "max_discrepancy": max_disc,
-        }
-        print(json.dumps(obj, indent=2))
+        print(_coeffs_json(f, closed, direct, idft, discrepancies))
     elif args.format == "csv":
         num, den, inv_sqrt = zip(*[(c.phase.num, c.phase.den, c.inv_sqrt_n) for c in closed])
         _print_columns("csv", {"k": range(f.N), "phase_num": num, "phase_den": den,
@@ -114,7 +119,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         for k in range(f.N):
             print(f"{k:>3}  {str(closed[k]):<18} {_fmt_complex(direct[k]):<42} "
                   f"{_fmt_complex(idft[k]):<42} {discrepancies[k]:.3e}")
-        print(f"# max cross-route discrepancy: {max_disc:.3e}")
+        print(f"# max cross-route discrepancy: {discrepancies.max():.3e}")
     return 0 if (direct_disc.max() <= TOLERANCES["closed-vs-direct"]
                  and idft_disc.max() <= TOLERANCES["closed-vs-inverse-dft"]) else 1
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 import warnings
 from typing import Iterable
@@ -79,7 +80,11 @@ def required_dimension(alpha: complex) -> int:
 
 
 def _dimension(dim: int, least: int = 0) -> int:
-    """dim, or ValueError naming it where it is below least."""
+    """dim by ``operator.index``, or TypeError naming it (a float), or ValueError below least."""
+    try:
+        dim = operator.index(dim)
+    except TypeError:
+        raise TypeError(f"dim: must be an integer, got {dim!r}") from None
     if dim < least:
         raise ValueError(f"dim: must be at least {least}, got {dim}")
     return dim
@@ -92,8 +97,8 @@ def within_truncation_guard(alpha: complex, dim: int) -> bool:
 
 
 def within_time_bound(t: float, dim: int) -> bool:
-    """t is finite and |t|*(dim - 1/2) <= 2**40, where the evolved phases cost ~1e-10."""
-    return math.isfinite(t) and abs(t) * (dim - 0.5) <= 2.0 ** 40
+    """t is finite and |t|*(dim - 1/2) <= 2**40 (phases then cost ~1e-10); ValueError naming dim."""
+    return abs(t) * (_dimension(dim, 1) - 0.5) <= 2.0 ** 40
 
 
 def coherent_underflows(alpha: complex) -> bool:

@@ -239,9 +239,11 @@ def closed_coefficients(f: CoprimeFraction) -> list[ExactCoefficient]:
     Equal values are one frozen object per call; nothing is kept between calls.
     """
     (row,), n = _closed_numerators(f), f.N
-    present = np.bincount(row) > 0
-    shared = [ExactCoefficient(n, RationalAngle(v, 4 * n)) for v in np.flatnonzero(present).tolist()]
-    return np.array(shared, dtype=object)[(np.cumsum(present) - 1)[row]].tolist()
+    present = np.zeros(8 * n, dtype=bool)
+    present[row] = True
+    values = np.flatnonzero(present)
+    shared = [ExactCoefficient(n, RationalAngle(v, 4 * n)) for v in values.tolist()]
+    return np.array(shared, dtype=object)[np.searchsorted(values, row)].tolist()
 
 
 def _targets(fractions: tuple[CoprimeFraction, ...]) -> tuple[int, np.ndarray, np.ndarray]:

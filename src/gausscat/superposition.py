@@ -19,7 +19,6 @@ rational phases and equal integer rotation numerators.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -169,7 +168,8 @@ def reference_state_table() -> list[tuple[CoprimeFraction, KittenDescriptor]]:
 def coefficient_to_dict(c: ExactCoefficient) -> dict:
     """The wire form of one exact coefficient, exp(i*pi*num/den) / sqrt(inv_sqrt).
 
-    The phase carries any -1, so the format's ``"sign"`` is always 1.
+    The phase carries any -1, so the format's ``"sign"`` is always 1.  The writers
+    print this block from ``_COEFF_JSON``; this dict is the reference they are tested on.
     """
     return {
         "sign": 1,
@@ -179,24 +179,23 @@ def coefficient_to_dict(c: ExactCoefficient) -> dict:
     }
 
 
+# As json.dumps(indent=2) lays them out: the coefficient block of both JSON writers
+# (``coefficient_to_dict`` as a component's or row's value), and one component.
+_COEFF_JSON = ('{\n        "sign": 1,\n        "phase_num": %d,\n        "phase_den": %d,'
+               '\n        "inv_sqrt": %d\n      }')
+_COMPONENT_JSON = ('    {\n      "k": %d,\n      "coeff": ' + _COEFF_JSON + ',\n      "rotation": {'
+                   '\n        "num": %d,\n        "den": %d\n      }\n    }')
+
+
 def descriptor_to_json(desc: KittenDescriptor) -> str:
-    """Serialize a descriptor to the stable JSON wire format.
-
-    Phases mean exp(i*pi*num/den); rotations are the multiplier of alpha in
-    the same convention.
-    """
-    obj = {
-        "M": desc.fraction.M,
-        "N": desc.fraction.N,
-        "parity": desc.parity,
-        "components": [
-            {
-                "k": k,
-                "coeff": coefficient_to_dict(c),
-                "rotation": {"num": rotation.num, "den": rotation.den},
-            }
-            for k, (c, rotation) in enumerate(_exact_components(desc))
-        ],
-    }
-    return json.dumps(obj, indent=2)
-
+    """The stable JSON wire format, the text of ``json.dumps(obj, indent=2)``: one template
+    per component, joined once.  Phases mean exp(i*pi*num/den); rotations are the multiplier
+    of alpha in the same convention, reduced over 2N by one ``np.gcd`` of the column."""
+    n, two_n = desc.fraction.N, 2 * desc.fraction.N
+    gcd = np.gcd(np.array(desc.rotations, dtype=np.int64), two_n).tolist()
+    rows = [_COMPONENT_JSON % (k, c.phase.num, c.phase.den, c.inv_sqrt_n, r // g, two_n // g)
+            for k, c, r, g in zip(range(n), desc.components, desc.rotations, gcd)]
+    rows[0] = (f'{{\n  "M": {desc.fraction.M},\n  "N": {n},\n  "parity": "{desc.parity}",'
+               f'\n  "components": [\n' + rows[0])
+    rows[-1] += "\n  ]\n}"
+    return ",\n".join(rows)

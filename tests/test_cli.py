@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from gausscat.cli import _print_columns, main
+from gausscat.cli import _coeffs_json, _print_columns, _yurke_stoler_view, main
 from gausscat.fock import _amplitude_guard
-from gausscat.gauss_sums import CoprimeFraction
-from gausscat.superposition import build_descriptor, descriptor_to_json
+from gausscat.gauss_sums import (CoprimeFraction, RationalAngle, _coefficient_values,
+                                 closed_coefficients, direct_coefficients)
+from gausscat.superposition import (build_descriptor, coefficient_to_dict,
+                                    coefficients_by_inverse_dft, descriptor_to_json,
+                                    reference_state_table)
 from gausscat.wavefunc import psi_cat_P
 
 
@@ -126,6 +129,73 @@ class TestState:
         assert code == 0
         assert "compass" not in out  # plain data, no prose
         assert out.count("|exp(i·") == 4
+
+
+def _descriptor_reference(desc):
+    """The descriptor's JSON as ``json.dumps(indent=2)`` writes its dict."""
+    n = desc.fraction.N
+    rotations = [RationalAngle(r, 2 * n) for r in desc.rotations]
+    return json.dumps({"M": desc.fraction.M, "N": n, "parity": desc.parity, "components": [
+        {"k": k, "coeff": coefficient_to_dict(c), "rotation": {"num": a.num, "den": a.den}}
+        for k, (c, a) in enumerate(zip(desc.components, rotations))]}, indent=2)
+
+
+def _coeffs_reference(f, closed, direct, idft, discrepancies):
+    """The coefficient table's JSON as ``json.dumps(indent=2)`` writes its dict."""
+    return json.dumps({"M": f.M, "N": f.N, "rows": [
+        {"k": k, "closed": coefficient_to_dict(closed[k]),
+         "direct": [direct[k].real, direct[k].imag],
+         "inverse_dft": [idft[k].real, idft[k].imag], "discrepancy": float(discrepancies[k])}
+        for k in range(f.N)], "max_discrepancy": float(discrepancies.max())}, indent=2)
+
+
+def _fractions_up_to(n_max):
+    return [CoprimeFraction(m, n) for n in range(2, n_max + 1) for m in range(1, n)
+            if math.gcd(m, n) == 1]
+
+
+class TestJsonWriters:
+    """Both JSON writers print the layout of ``json.dumps(indent=2)`` directly; they
+    must give the encoder's text byte for byte."""
+
+    @pytest.mark.parametrize("index", range(9))
+    def test_golden_states(self, index):
+        f, desc = reference_state_table()[index]
+        assert descriptor_to_json(desc) == _descriptor_reference(desc)
+        assert descriptor_to_json(build_descriptor(f)) == _descriptor_reference(desc)
+
+    def test_every_descriptor_up_to_n_30(self):
+        for f in _fractions_up_to(30):
+            for desc in (build_descriptor(f), _yurke_stoler_view(build_descriptor(f))):
+                assert descriptor_to_json(desc) == _descriptor_reference(desc), f
+
+    def test_large_descriptor(self):
+        desc = build_descriptor(CoprimeFraction(2, 3989))
+        for view in (desc, _yurke_stoler_view(desc)):
+            assert descriptor_to_json(view) == _descriptor_reference(view)
+
+    def test_every_coefficient_table_up_to_n_30(self, capsys):
+        for f in _fractions_up_to(30):
+            closed = closed_coefficients(f)
+            values = _coefficient_values(closed)
+            direct, idft = direct_coefficients(f)[0], coefficients_by_inverse_dft(f)[0]
+            discrepancies = np.maximum(np.abs(values - direct), np.abs(values - idft))
+            _, out, _ = run_cli(capsys, "coeffs", str(f.M), str(f.N), "--format", "json")
+            assert out == _coeffs_reference(f, closed, direct, idft, discrepancies) + "\n", f
+
+    @pytest.mark.parametrize("peak", [math.nan, math.inf])
+    def test_rows_of_special_floats(self, peak):
+        # json writes NaN, Infinity and -Infinity, and repr for -0.0 and a subnormal
+        f = CoprimeFraction(1, 4)
+        closed = closed_coefficients(f)
+        direct = np.array([complex(math.nan, math.inf), complex(-0.0, -math.inf),
+                           complex(5e-324, -5e-324), complex(0.1, -1 / 3)])
+        idft = direct[::-1].copy()
+        discrepancies = np.array([-0.0, 5e-324, peak, 2.0 ** 53 + 2.0])
+        text = _coeffs_json(f, closed, direct, idft, discrepancies)
+        assert text == _coeffs_reference(f, closed, direct, idft, discrepancies)
+        for token in ("NaN", "Infinity", "-Infinity", "-0.0", "5e-324"):
+            assert token in text
 
 
 class TestDeterminism:

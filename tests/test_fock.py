@@ -373,6 +373,13 @@ class TestTimeGrid:
         assert not within_time_bound(2.0 ** 34, 66)
         assert not within_time_bound(float("inf"), 1) and not within_time_bound(float("nan"), 1)
 
+    def test_time_bound_takes_dims_from_1(self):
+        # it read True at dim -5; the least dim of a coherent vector is 1
+        assert within_time_bound(1.0, 1)
+        for dim in (0, -5):
+            with pytest.raises(ValueError, match="^dim: must be at least 1"):
+                within_time_bound(1.0, dim)
+
 
 class TestKerrIdentity:
     def test_alpha_zero_is_exact(self):
@@ -416,6 +423,12 @@ class TestKerrIdentity:
         conjugated = g.conj()[: dim - 1, None] * a * g[None, :]
         target = rotation_diagonal(f, dim).conj()[: dim - 1, None] * a
         assert kerr_conjugation_residual(f, dim) == np.abs(conjugated - target).max()
+
+    def test_least_dims_are_valid(self):
+        # one level has one phase to compare, two levels one band entry
+        f = CoprimeFraction(1, 3)
+        assert kerr_identity_residual(f, 1) == 0
+        assert kerr_conjugation_residual(f, 2) == 0.0
 
     @pytest.mark.parametrize("dim", [1, 0])
     def test_no_band_entry_is_a_value_error_naming_dim(self, dim):

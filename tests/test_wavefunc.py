@@ -10,7 +10,7 @@ import pytest
 
 from gausscat import wavefunc
 from gausscat.fock import (coherent_vector, kerr_diagonal, required_dimension,
-                           rotation_diagonal, within_truncation_guard)
+                           rotation_diagonal, within_time_bound, within_truncation_guard)
 from gausscat.gauss_sums import CoprimeFraction
 from gausscat.superposition import build_descriptor
 from gausscat.verify import spectral_error
@@ -119,6 +119,13 @@ class TestPsiCoherent:
         with pytest.raises(ValueError, match="alpha"):
             psi_coherent(alpha, x)
 
+    def test_phase_bound_is_2_to_the_53_inclusive(self):
+        # at x = 0 the phase is -Re(a) Im(a); 2**53 + 2 is the next float above 2**53
+        value = psi_coherent(complex(1.0, -2.0 ** 53), 0.0)
+        assert abs(abs(value) - math.pi ** -0.25 * math.exp(-1.0)) < 1e-16
+        with pytest.raises(ValueError, match="^alpha: "):
+            psi_coherent(complex(1.0, -(2.0 ** 53 + 2.0)), 0.0)
+
     @pytest.mark.parametrize("alpha, x", [
         (1.0, float("inf")), (1j, float("-inf")), (0.0, float("nan")),
         (1.0, [0.0, float("nan")])])
@@ -193,6 +200,7 @@ _THIRD = CoprimeFraction(1, 3)
 _BAD_ARGUMENTS = {
     "hermite_basis-x-inf": ("x", lambda: hermite_basis(1, [math.inf])),
     "hermite_basis-n_max-negative": ("n_max", lambda: hermite_basis(-3, np.zeros(3))),
+    "hermite_basis-n_max-edge": ("n_max", lambda: hermite_basis(-2, np.zeros(3))),
     "mehler_kernel-x-nan": ("x", lambda: mehler_kernel(math.nan, 0.0, 1.0)),
     "mehler_kernel-y-inf": ("y", lambda: mehler_kernel(0.0, math.inf, 1.0)),
     "psi_cat_P-x-nan": ("x", lambda: psi_cat_P(1.0, math.nan)),
@@ -201,6 +209,16 @@ _BAD_ARGUMENTS = {
     "rotation_diagonal-dim-negative": ("dim", lambda: rotation_diagonal(_THIRD, -2)),
     "kerr_diagonal-dim-negative": ("dim", lambda: kerr_diagonal(_THIRD, -2)),
     "within_truncation_guard-dim-negative": ("dim", lambda: within_truncation_guard(1.0, -1)),
+    "within_time_bound-dim-negative": ("dim", lambda: within_time_bound(1.0, -5)),
+}
+
+# a size that is not an integer: np.arange took 2.5 as 3 entries
+_FLOAT_SIZES = {
+    "rotation_diagonal": lambda: rotation_diagonal(_THIRD, 2.5),
+    "kerr_diagonal": lambda: kerr_diagonal(_THIRD, 2.5),
+    "within_truncation_guard": lambda: within_truncation_guard(1.0, 64.0),
+    "within_time_bound": lambda: within_time_bound(1.0, 64.0),
+    "coherent_vector": lambda: coherent_vector(1.0, 8.0),
 }
 
 
@@ -210,6 +228,14 @@ class TestNamedArguments:
         name, call = _BAD_ARGUMENTS[case]
         with pytest.raises(ValueError, match=f"^{name}: "):
             call()
+
+    @pytest.mark.parametrize("case", list(_FLOAT_SIZES))
+    def test_float_size_is_a_type_error_naming_dim(self, case):
+        with pytest.raises(TypeError, match="^dim: must be an integer"):
+            _FLOAT_SIZES[case]()
+
+    def test_integer_sizes_of_any_type_are_taken(self):
+        assert rotation_diagonal(_THIRD, np.int64(3)).shape == (3,)
 
     def test_empty_sizes_stay_valid(self):
         assert hermite_basis(-1, np.zeros(3)).shape == (0, 3)
@@ -292,6 +318,8 @@ class TestMehlerKernel:
         assert abs(reduce_angle(3 * math.pi / 2) + math.pi / 2) < 1e-15
         assert reduce_angle(2 * math.pi) == 0.0
         assert abs(reduce_angle(-3 * math.pi) - math.pi) < 1e-15
+        # the half-open range (-pi, pi] holds pi, not -pi
+        assert reduce_angle(-math.pi) == math.pi and reduce_angle(math.pi) == math.pi
 
 
 class TestFracFourier:
