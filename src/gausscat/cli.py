@@ -155,7 +155,7 @@ def _alpha_within_guard(args: argparse.Namespace) -> complex:
         re_part, im_part = args.alpha.split(",")
         alpha = complex(float(re_part), float(im_part))
     except ValueError:
-        args.error(f"--alpha expects 're,im', got {args.alpha!r}")
+        args.error(f"--alpha: expects 're,im', got {args.alpha!r}")
     try:
         message = _amplitude_guard(alpha, args.dim)
     except ValueError as exc:
@@ -171,7 +171,8 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     try:
         grid = GridSpec(args.grid_half_width, args.grid_points)
     except ValueError as exc:
-        args.error(f"--grid-half-width/--grid-points: {exc}")
+        name, message = str(exc).split(": ", 1)
+        args.error(f"--grid-{name.replace('_', '-')}: {message}")
     sample = kitten_wave_sample(alpha, f, grid, args.dim)
     norm = sample.norm()
     print(f"# trapezoid norm = {norm:.17g}", file=sys.stderr)
@@ -191,9 +192,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     f = _fraction(args)
     alpha = _alpha_within_guard(args)
     if not within_time_bound(args.t, args.dim):
-        args.error(f"--t={args.t:g} at --dim {args.dim}: need t finite, |t|*(dim - 1/2) <= 2**40")
+        args.error(f"--t: {args.t:g} at dim {args.dim}: need t finite, |t|*(dim - 1/2) <= 2**40")
     if args.t_steps < 2:
-        args.error("--t-steps must be at least 2")
+        args.error(f"--t-steps: must be at least 2, got {args.t_steps}")
     times = np.linspace(0.0, args.t, args.t_steps)
     _print_columns(args.format, {"t": times,
                                  "fidelity": evolution_fidelity(alpha, f, times, args.dim)},
@@ -202,10 +203,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # below 2 the sweep has no fraction M/N to cover, and would pass vacuously
+    # below 2 a sweep covers no fraction M/N and its checks fail at inf: exit 2 here, not 1
     for flag, value in (("--coeff-nmax", args.coeff_nmax), ("--fock-nmax", args.fock_nmax)):
         if value < 2:
-            args.error(f"{flag} must be at least 2, got {value}")
+            args.error(f"{flag}: must be at least 2, got {value}")
     cfg = VerifyConfig(coeff_n_max=args.coeff_nmax, fock_n_max=args.fock_nmax)
     groups = args.only or None
     results = run_checks(cfg, groups)

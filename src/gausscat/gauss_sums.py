@@ -171,17 +171,17 @@ def unit_phase(nums: np.typing.ArrayLike, den: np.typing.ArrayLike) -> np.ndarra
     the nearest quarter turn q plus theta = (pi/2)*off/den in [-pi/4, pi/4]; the
     value is exp(i*theta) times i**q, an exact product.  So 1, -1 and +-i are exact,
     unit_phase(-r, d) == unit_phase(r, d).conj(), and unit_phase(k*r, k*d) == unit_phase(r, d).
-    A den below 1 raises ``ValueError``, and a den without an integer dtype, or nums
-    without one (unless empty), ``TypeError`` instead of a truncated angle.
+    A den below 1 or above 2**60 raises ``ValueError`` naming den, and a den without an integer
+    dtype, or nums without one (unless empty), ``TypeError`` naming it, not a truncated angle.
     """
     if not np.issubdtype((den := np.asarray(den)).dtype, np.integer):
-        raise TypeError(f"unit_phase: den must have an integer dtype, got {den.dtype}")
+        raise TypeError(f"den: must be an integer, got dtype {den.dtype}")
     if ((den := den.astype(np.int64, copy=False)) < 1).any():
-        raise ValueError(f"unit_phase: den must be at least 1, got {den.min()}")
+        raise ValueError(f"den: must be at least 1, got {den.min()}")
     if (den > 2**60).any():
-        raise ValueError("unit_phase reduces in int64, so den must be at most 2**60")
+        raise ValueError(f"den: must be at most 2**60 for the int64 reduction, got {den.max()}")
     if (nums := np.asarray(nums)).size and not np.issubdtype(nums.dtype, np.integer):
-        raise TypeError(f"unit_phase: nums must have an integer dtype, got {nums.dtype}")
+        raise TypeError(f"nums: must be an integer, got dtype {nums.dtype}")
     r = nums.astype(np.int64, copy=False) % (2 * den)
     a = np.minimum(r, 2 * den - r)
     q = (4 * a + den) // (2 * den)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import _abs_squared, kitten_vector_series
+from .fock import _abs_squared, _dimension, kitten_vector_series
 from .gauss_sums import CoprimeFraction
 from .superposition import KittenDescriptor, _branches
 
@@ -57,8 +57,8 @@ class AliasingWarning(UserWarning):
 class GridSpec:
     """Uniform symmetric grid on [-half_width, +half_width].
 
-    The point count must be odd (>= 3) so the grid contains x = 0 and is
-    exactly symmetric, which lets the parity operator act by reversal.
+    The point count must be an odd integer >= 3 (``_dimension``) so the grid contains x = 0
+    and is exactly symmetric, which lets the parity operator act by reversal.
     """
 
     half_width: float
@@ -66,9 +66,9 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if not 0 < 2.0 * self.half_width < math.inf:
-            raise ValueError("half_width must be positive, with a finite span 2*half_width")
-        if self.points < 3 or self.points % 2 == 0:
-            raise ValueError("points must be an odd integer >= 3")
+            raise ValueError(f"half_width: must be > 0 with a finite span, got {self.half_width}")
+        if _dimension("points", self.points, 3) % 2 == 0:
+            raise ValueError(f"points: must be odd, got {self.points}")
 
     @property
     def spacing(self) -> float:
@@ -92,7 +92,7 @@ class WaveSample:
 
     def __post_init__(self) -> None:
         if self.values.shape != (self.grid.points,):
-            raise ValueError("values must match the grid point count")
+            raise ValueError(f"values: need shape ({self.grid.points},), got {self.values.shape}")
 
     def norm(self) -> float:
         """Trapezoid estimate of the L2 norm."""
@@ -115,12 +115,10 @@ def hermite_basis(n_max: int, x: np.ndarray) -> np.ndarray:
         psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1}
     so no factorials or large polynomial values ever appear.  psi_0 is 0.0
     beyond |x| ~ 38.6, so it is evaluated on min(|x|, 40), where x^2 cannot overflow.
-    ValueError naming n_max below -1, or x where a position is not finite (``_positions``).
+    An error naming n_max below -1 or not an integer (``_dimension``), or x (``_positions``).
     """
-    if n_max < -1:
-        raise ValueError(f"n_max: must be at least -1, got {n_max}")
     x = _positions("x", x)
-    basis = np.zeros((n_max + 1, x.size))
+    basis = np.zeros((_dimension("n_max", n_max, -1) + 1, x.size))
     basis[:1] = math.pi ** -0.25 * np.exp(-0.5 * np.minimum(np.abs(x), 40.0) ** 2)
     if n_max >= 1:
         basis[1] = math.sqrt(2.0) * x * basis[0]
@@ -130,20 +128,25 @@ def hermite_basis(n_max: int, x: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _phase_within_digits(name: str, phase) -> np.ndarray:
+    """phase, or ValueError naming the argument it grows with where it is not finite or > 2**53."""
+    if not (np.abs(phase) <= 2.0 ** 53).all():
+        raise ValueError(f"{name}: the phase reaches {np.max(np.abs(phase)):g}, beyond 2**53")
+    return phase
+
+
 def psi_coherent(alpha: complex, x) -> np.ndarray:
     """Coherent-state wavefunction pi^{-1/4} exp(-|a|^2/2 - a^2/2 + sqrt(2) a x - x^2/2), a
     broadcast with x, as its completed square exp(-d^2/2 + i (sqrt(2) Im a x - Re a Im a)),
     d = x - sqrt(2) Re a clamped at 40 as in ``hermite_basis``.  ValueError naming x where it
-    is not finite (``_positions``), else alpha where that phase is not finite or above 2**53
-    (no digits left)."""
+    is not finite (``_positions``), else alpha where that phase has no digits left
+    (``_phase_within_digits``)."""
     x = _positions("x", x)
     p, q = np.real(alpha), np.imag(alpha)
     with np.errstate(over="ignore", invalid="ignore"):
         square = np.minimum(np.square(x - math.sqrt(2.0) * p), 1600.0)
         phase = math.sqrt(2.0) * q * x - p * q
-    if not (np.abs(phase) <= 2.0 ** 53).all():
-        raise ValueError(f"alpha: the phase reaches {np.max(np.abs(phase)):g}, beyond 2**53")
-    return math.pi ** -0.25 * np.exp(-0.5 * square + 1j * phase)
+    return math.pi ** -0.25 * np.exp(-0.5 * square + 1j * _phase_within_digits("alpha", phase))
 
 
 def psi_cat_P(alpha: complex, x) -> np.ndarray:
@@ -196,10 +199,10 @@ def reduce_angle(phi: float) -> float:
     The Mehler normalization mu(phi) = exp(i*(phi/2 - (pi/4) sgn(sin phi)))
     is 4*pi-periodic as written, so the branch matters: the analytic
     continuation of the kernel from |q| < 1 (and the eigenvalue property
-    on psi_n) selects the representative in (-pi, pi]; a non-finite phi raises ``ValueError``.
+    on psi_n) selects the representative in (-pi, pi]; ValueError naming phi where not finite.
     """
     if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi}")
+        raise ValueError(f"phi: must be finite, got {phi}")
     reduced = math.remainder(phi, 2.0 * math.pi)
     return math.pi if reduced == -math.pi else reduced
 
@@ -212,17 +215,19 @@ def mehler_kernel(x, y, phi: float) -> np.ndarray:
 
     At phi = -pi/2 this is the ordinary Fourier kernel e^{ixy}/sqrt(2*pi).
     Raises for phi a multiple of pi, where the kernel degenerates to the
-    identity or parity delta; the transform handles both cases.  ValueError naming
-    x or y where a position is not finite (``_positions``).
+    identity or parity delta; the transform handles both cases.  ValueError naming x or y
+    where it is not finite (``_positions``), the larger where the phase passes 2**53.
     """
     phi = reduce_angle(phi)
     s = math.sin(phi)
     if abs(s) < 1e-9:
-        raise ValueError("kernel is singular for phi a multiple of pi")
+        raise ValueError("phi: the kernel is singular at a multiple of pi")
     x, y = _positions("x", x), _positions("y", y)
     mu = np.exp(1j * (0.5 * phi - 0.25 * math.pi * math.copysign(1.0, s)))
-    return (mu / math.sqrt(2.0 * math.pi * abs(s))
-            * np.exp(1j * ((x * x + y * y) * math.cos(phi) - 2.0 * x * y) / (2.0 * s)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = ((x * x + y * y) * math.cos(phi) - 2.0 * x * y) * (0.5 / s)
+    name = "y" if np.abs(y).max(initial=0.0) > np.abs(x).max(initial=0.0) else "x"
+    return mu / math.sqrt(2.0 * math.pi * abs(s)) * np.exp(1j * _phase_within_digits(name, phase))
 
 
 def _trapezoid_transform(grid: GridSpec, values: np.ndarray, phi: float) -> np.ndarray:

@@ -364,7 +364,7 @@ class TestTimeGrid:
     @pytest.mark.parametrize("fn", [time_evolution_residual, evolution_fidelity])
     def test_time_beyond_the_bound_is_a_value_error_naming_t(self, fn, t):
         # evolution_fidelity read 0.997 at t = 1e300, with no error
-        with pytest.raises(ValueError, match=r"^t = "):
+        with pytest.raises(ValueError, match=r"^t: "):
             fn(1.0, CoprimeFraction(1, 3), [0.0, t], 64)
 
     def test_time_bound_is_the_cli_rule(self):

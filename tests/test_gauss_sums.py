@@ -258,7 +258,7 @@ class TestUnitPhase:
     @pytest.mark.parametrize("den", [2.5, 2.0, [3, 4.0], np.array([2.5]), True])
     def test_non_integer_den_is_a_type_error_naming_den(self, den):
         # a float den would be truncated: 1 over 2.5 would read as 1 over 2, i.e. 1j
-        with pytest.raises(TypeError, match="^unit_phase: den "):
+        with pytest.raises(TypeError, match="^den: "):
             unit_phase(1, den)
 
     @pytest.mark.parametrize("nums", [[], np.array([], dtype=float), np.zeros((2, 0))])

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from gausscat import wavefunc
-from gausscat.fock import (coherent_vector, kerr_diagonal, required_dimension,
-                           rotation_diagonal, within_time_bound, within_truncation_guard)
-from gausscat.gauss_sums import CoprimeFraction
+from gausscat.fock import (aN_identity_residual, coherent_vector, kerr_conjugation_residual,
+                           kerr_diagonal, required_dimension, rotation_diagonal,
+                           time_evolution_residual, within_time_bound, within_truncation_guard)
+from gausscat.gauss_sums import CoprimeFraction, unit_phase
 from gausscat.superposition import build_descriptor
 from gausscat.verify import spectral_error
 from gausscat.wavefunc import (
@@ -210,15 +211,34 @@ _BAD_ARGUMENTS = {
     "kerr_diagonal-dim-negative": ("dim", lambda: kerr_diagonal(_THIRD, -2)),
     "within_truncation_guard-dim-negative": ("dim", lambda: within_truncation_guard(1.0, -1)),
     "within_time_bound-dim-negative": ("dim", lambda: within_time_bound(1.0, -5)),
+    # the refusals below named no argument, or (1e160) returned nan
+    "aN_identity_residual-dim-small": ("dim", lambda: aN_identity_residual(_THIRD, 2)),
+    "kerr_conjugation_residual-dim-small": ("dim", lambda: kerr_conjugation_residual(_THIRD, 1)),
+    "GridSpec-half_width-negative": ("half_width", lambda: GridSpec(-1.0, 5)),
+    "WaveSample-values-shape": ("values", lambda: WaveSample(GridSpec(2.0, 5), np.zeros(4))),
+    "reduce_angle-phi-nan": ("phi", lambda: reduce_angle(math.nan)),
+    "mehler_kernel-phi-singular": ("phi", lambda: mehler_kernel(0.0, 0.0, 0.0)),
+    "mehler_kernel-x-phase": ("x", lambda: mehler_kernel(1e160, 0.0, 1.0)),
+    "mehler_kernel-y-phase": ("y", lambda: mehler_kernel(0.0, 1e160, 1.0)),
+    "time_evolution_residual-t-large": (
+        "t", lambda: time_evolution_residual(1.0, _THIRD, [1e15], 64)),
+    "unit_phase-den-zero": ("den", lambda: unit_phase(1, 0)),
+    "unit_phase-den-large": ("den", lambda: unit_phase(1, 2**61)),
 }
 
-# a size that is not an integer: np.arange took 2.5 as 3 entries
+# an integer argument that is not one: np.arange took 2.5 as 3 entries, GridSpec took
+# 5.5 points, and unit_phase would truncate the angle
 _FLOAT_SIZES = {
-    "rotation_diagonal": lambda: rotation_diagonal(_THIRD, 2.5),
-    "kerr_diagonal": lambda: kerr_diagonal(_THIRD, 2.5),
-    "within_truncation_guard": lambda: within_truncation_guard(1.0, 64.0),
-    "within_time_bound": lambda: within_time_bound(1.0, 64.0),
-    "coherent_vector": lambda: coherent_vector(1.0, 8.0),
+    "rotation_diagonal": ("dim", lambda: rotation_diagonal(_THIRD, 2.5)),
+    "kerr_diagonal": ("dim", lambda: kerr_diagonal(_THIRD, 2.5)),
+    "within_truncation_guard": ("dim", lambda: within_truncation_guard(1.0, 64.0)),
+    "within_time_bound": ("dim", lambda: within_time_bound(1.0, 64.0)),
+    "coherent_vector": ("dim", lambda: coherent_vector(1.0, 8.0)),
+    "aN_identity_residual": ("dim", lambda: aN_identity_residual(_THIRD, 5.5)),
+    "hermite_basis": ("n_max", lambda: hermite_basis(2.5, np.zeros(3))),
+    "GridSpec": ("points", lambda: GridSpec(12.0, 5.5)),
+    "unit_phase-den": ("den", lambda: unit_phase(1, 2.5)),
+    "unit_phase-nums": ("nums", lambda: unit_phase(1.5, 4)),
 }
 
 
@@ -230,9 +250,10 @@ class TestNamedArguments:
             call()
 
     @pytest.mark.parametrize("case", list(_FLOAT_SIZES))
-    def test_float_size_is_a_type_error_naming_dim(self, case):
-        with pytest.raises(TypeError, match="^dim: must be an integer"):
-            _FLOAT_SIZES[case]()
+    def test_float_size_is_a_type_error_naming_it(self, case):
+        name, call = _FLOAT_SIZES[case]
+        with pytest.raises(TypeError, match=f"^{name}: must be an integer"):
+            call()
 
     def test_integer_sizes_of_any_type_are_taken(self):
         assert rotation_diagonal(_THIRD, np.int64(3)).shape == (3,)
