@@ -24,12 +24,15 @@ import math
 import os
 import sys
 from dataclasses import asdict, replace
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
-from .fock import _amplitude_guard, evolution_fidelity, within_time_bound
+from .fock import _amplitude_guard, _time_guard, evolution_fidelity
 from .gauss_sums import (
     CoprimeFraction,
+    _angle_text,
     _coefficient_values,
     closed_coefficients,
     direct_coefficients,
@@ -37,7 +40,6 @@ from .gauss_sums import (
 from .superposition import (
     KittenDescriptor,
     _COEFF_JSON,
-    _exact_components,
     build_descriptor,
     coefficients_by_inverse_dft,
     descriptor_to_json,
@@ -131,6 +133,22 @@ def _yurke_stoler_view(desc: KittenDescriptor) -> KittenDescriptor:
     return replace(desc, rotations=tuple((r + 3 * n) % (4 * n) for r in desc.rotations))
 
 
+# Lines of the state text form per print call: one joined block is held at a time.
+_STATE_LINES = 1 << 14
+
+
+def _state_lines(desc: KittenDescriptor) -> Iterator[str]:
+    """The component lines of the state text form, "k=K: c_k · |exp(i·rotation_k)·α⟩": each
+    distinct coefficient object (``closed_coefficients`` shares equal ones) is formatted once,
+    and the rotations are reduced over 2N by one ``np.gcd`` of the column."""
+    two_n = 2 * desc.fraction.N
+    gcd = np.gcd(np.array(desc.rotations, dtype=np.int64), two_n).tolist()
+    shared = dict(zip(map(id, desc.components), desc.components))
+    texts = {key: str(c) for key, c in shared.items()}
+    return (f"k={k}: {texts[id(c)]} · |exp(i·{_angle_text(r // g, two_n // g)})·α⟩"
+            for k, c, r, g in zip(range(desc.fraction.N), desc.components, desc.rotations, gcd))
+
+
 def cmd_state(args: argparse.Namespace) -> int:
     f = _fraction(args)
     desc = build_descriptor(f)
@@ -142,8 +160,9 @@ def cmd_state(args: argparse.Namespace) -> int:
         label = "-i·α" if args.yurke_stoler else "α"
         print(f"# superposition for M/N = {f.M}/{f.N} ({desc.parity} N), "
               f"amplitude {label}")
-        for k, (c, rotation) in enumerate(_exact_components(desc)):
-            print(f"k={k}: {c} · |exp(i·{rotation})·α⟩")
+        lines = _state_lines(desc)
+        while block := "\n".join(islice(lines, _STATE_LINES)):
+            print(block)
     return 0
 
 
@@ -191,8 +210,10 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
 def cmd_evolve(args: argparse.Namespace) -> int:
     f = _fraction(args)
     alpha = _alpha_within_guard(args)
-    if not within_time_bound(args.t, args.dim):
-        args.error(f"--t: {args.t:g} at dim {args.dim}: need t finite, |t|*(dim - 1/2) <= 2**40")
+    try:
+        _time_guard(args.t, args.dim)
+    except ValueError as exc:
+        args.error(f"--{exc}")
     if args.t_steps < 2:
         args.error(f"--t-steps: must be at least 2, got {args.t_steps}")
     times = np.linspace(0.0, args.t, args.t_steps)

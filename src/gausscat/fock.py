@@ -101,6 +101,12 @@ def within_time_bound(t: float, dim: int) -> bool:
     return abs(t) * (_dimension("dim", dim, 1) - 0.5) <= 2.0 ** 40
 
 
+def _time_guard(t: float, dim: int) -> None:
+    """The one statement of the time bound: ValueError naming t outside ``within_time_bound``."""
+    if not within_time_bound(t, dim):
+        raise ValueError(f"t: {t:g} at dim {dim}: need t finite and |t|*(dim - 1/2) <= 2**40")
+
+
 def coherent_underflows(alpha: complex) -> bool:
     """exp(-|alpha|^2/2) is below the smallest normal float (|alpha|^2 > ~1416.8)."""
     return math.exp(-0.5 * abs(alpha) * abs(alpha)) < sys.float_info.min
@@ -203,13 +209,12 @@ def aN_identity_residual(f: CoprimeFraction, dim: int) -> int:
 
 def _evolved_pairs(alpha: complex, f: CoprimeFraction, times: Iterable[float], dim: int):
     """(t, e^{-itL}|kitten(alpha)>, |kitten(e^{-it} alpha)>) per t, equal up to e^{-it/2};
-    ValueError naming t outside ``within_time_bound``."""
+    ValueError naming t outside ``within_time_bound`` (``_time_guard``)."""
     phases = _series_phases(f, dim)
     initial = coherent_vector(alpha, dim) * phases
     levels = np.arange(dim) + 0.5
     for t in map(float, times):
-        if not within_time_bound(t, dim):
-            raise ValueError(f"t: {t:g} at dim {dim}: need t finite and |t|*(dim - 1/2) <= 2**40")
+        _time_guard(t, dim)
         yield (t, np.exp(-1j * t * levels) * initial,
                coherent_vector(cmath.exp(-1j * t) * alpha, dim) * phases)
 

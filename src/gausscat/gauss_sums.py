@@ -14,8 +14,9 @@ an exact carrier for rational multiples of pi, the one primitive that turns
 integer phase numerators into roots of unity, and two of the three
 coefficient routes: plain summation, one matrix-vector product per fraction
 against a block of exact roots shared by all fractions of one N, and the
-closed forms, one integer phase table per N that the verify sweep evaluates
-whole (the inverse DFT is in :mod:`gausscat.superposition`).
+closed forms, one integer phase table per N whose values the verify sweep
+gathers from the 8N roots of that N (the inverse DFT is in
+:mod:`gausscat.superposition`).
 
 Every phase that is known exactly is kept as a reduced rational multiple
 of pi (:class:`RationalAngle`) and converted to a complex number only at
@@ -46,15 +47,16 @@ __all__ = [
 def mod_inverse(m: int, n: int) -> int:
     """The unique d with 1 <= d <= n and m*d = 1 (mod n).
 
-    Requires gcd(m, n) = 1.  For n = 1 the inverse is taken to be 1.
+    Requires gcd(m, n) = 1.  For n = 1 the inverse is taken to be 1.  ValueError naming n
+    below 1, or m without an inverse.
     """
     if n < 1:
-        raise ValueError("modulus must be a positive integer")
+        raise ValueError(f"n: must be at least 1, got {n}")
     if n == 1:
         return 1
     g = math.gcd(m % n, n)
     if g != 1:
-        raise ValueError(f"{m} has no inverse mod {n} (gcd = {g})")
+        raise ValueError(f"m: {m} has no inverse mod {n} (gcd = {g})")
     return pow(m, -1, n)
 
 
@@ -64,10 +66,11 @@ def jacobi_symbol(a: int, b: int) -> int:
     Multiplicative in both arguments; equals the product of Legendre
     symbols over the prime factorization of b, but is computed here by
     quadratic-reciprocity reduction so no factorization is needed.
-    Returns 0 exactly when gcd(a, b) > 1, and (a/1) = 1 by convention.
+    Returns 0 exactly when gcd(a, b) > 1, and (a/1) = 1 by convention.  ValueError naming b
+    where it is not odd and positive.
     """
     if b <= 0 or b % 2 == 0:
-        raise ValueError("Jacobi symbol needs an odd positive denominator")
+        raise ValueError(f"b: must be odd and positive, got {b}")
     a %= b
     result = 1
     while a != 0:
@@ -90,6 +93,7 @@ class RationalAngle:
     (phases are identified mod 2*pi); the zero angle is stored as (0, 1).
     Construction normalizes any integer pair, so ``RationalAngle(-1, 4)``
     becomes ``RationalAngle(7, 4)``; it holds no float (``unit_phase`` evaluates it).
+    ValueError naming den below 1.
     """
 
     num: int
@@ -97,37 +101,50 @@ class RationalAngle:
 
     def __post_init__(self) -> None:
         if self.den <= 0:
-            raise ValueError("denominator must be positive")
+            raise ValueError(f"den: must be at least 1, got {self.den}")
         num = self.num % (2 * self.den)
         g = math.gcd(num, self.den) if num else self.den
         object.__setattr__(self, "num", num // g)
         object.__setattr__(self, "den", self.den // g)
 
     def __str__(self) -> str:
-        if self.num == 0:
-            return "0"
-        if self.den == 1:
-            return "π"  # num can only be 1 here
-        if self.num == 1:
-            return f"π/{self.den}"
-        return f"{self.num}π/{self.den}"
+        return _angle_text(self.num, self.den)
+
+
+def _angle_text(num: int, den: int) -> str:
+    """The text of the canonical angle pi*num/den (``RationalAngle``'s form): 0, π, π/den
+    or numπ/den."""
+    if num == 0:
+        return "0"
+    if den == 1:
+        return "π"  # num can only be 1 here
+    if num == 1:
+        return f"π/{den}"
+    return f"{num}π/{den}"
 
 
 @dataclass(frozen=True, slots=True)
 class CoprimeFraction:
-    """A reduced fraction M/N with 0 < M < N, encoding the angle 2*pi*M/N."""
+    """A reduced fraction M/N with 0 < M < N, encoding the angle 2*pi*M/N.
+
+    TypeError naming M or N where it is not an integer; ValueError naming N below 2, else M
+    outside (0, N) or not coprime to N.  The name is picked only once a rule has failed.
+    """
 
     M: int
     N: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.M, int) or not isinstance(self.N, int):
-            raise TypeError("M and N must be integers")
+            name = "M" if not isinstance(self.M, int) else "N"
+            raise TypeError(f"{name}: must be an integer, got {getattr(self, name)!r}")
         if not 0 < self.M < self.N:
-            raise ValueError(f"need 0 < M < N, got M={self.M}, N={self.N}")
+            if self.N < 2:
+                raise ValueError(f"N: must be at least 2, got {self.N}")
+            raise ValueError(f"M: need 0 < M < N, got M={self.M}, N={self.N}")
         g = math.gcd(self.M, self.N)
         if g != 1:
-            raise ValueError(f"M and N must be coprime (gcd = {g})")
+            raise ValueError(f"M: must be coprime to N = {self.N} (gcd = {g})")
 
     @property
     def n_even(self) -> bool:
@@ -152,7 +169,7 @@ class ExactCoefficient:
 
     def __post_init__(self) -> None:
         if self.inv_sqrt_n < 1:
-            raise ValueError("inv_sqrt_n must be a positive integer")
+            raise ValueError(f"inv_sqrt_n: must be at least 1, got {self.inv_sqrt_n}")
 
     def __str__(self) -> str:
         root = f"√{self.inv_sqrt_n}"
@@ -280,10 +297,11 @@ def direct_coefficients(*fractions: CoprimeFraction) -> np.ndarray:
     routes, so the block W[k, l] = zeta^(2kl) and the term vector
     t_l = zeta^(q_l) (the targets) are exact roots, and the only
     floating-point error is one product per term and the N-term sum of the
-    matrix-vector product W @ t.  W is built for one block of output indices
-    k at a time (``_k_blocks``) and shared by all fractions, each of which
-    takes one product per block: unlike one matrix-matrix product for all
-    fractions, it gives the same bits under 1 or 2 BLAS threads.
+    matrix-vector product W @ t, written in place, and the one division by N.
+    W is built for one block of output indices k at a time (``_k_blocks``) and
+    shared by all fractions, each of which takes one product per block: unlike
+    one matrix-matrix product for all fractions, it gives the same bits under
+    1 or 2 BLAS threads.
     """
     n, roots, terms = _targets(fractions)
     ell = np.arange(n, dtype=np.int64)
@@ -293,6 +311,7 @@ def direct_coefficients(*fractions: CoprimeFraction) -> np.ndarray:
         cross %= 2 * n  # in place: one int64 table per block, no temporaries
         w = roots[cross]
         for row, t in zip(rows, terms):
-            row[block] = w @ t / n
+            np.matmul(w, t, out=row[block])  # written in place: no temporaries per fraction
         del w, cross  # before the next block is built, so a call holds one block
+    rows /= n
     return rows

@@ -82,11 +82,6 @@ def _branches(desc: KittenDescriptor, alpha: complex) -> tuple[np.ndarray, np.nd
             unit_phase(desc.rotations, 2 * desc.fraction.N) * alpha)
 
 
-def _exact_components(desc: KittenDescriptor) -> zip:
-    """(c_k, rotation_k as a ``RationalAngle``) per component, made only to be printed."""
-    return zip(desc.components, (RationalAngle(r, 2 * desc.fraction.N) for r in desc.rotations))
-
-
 def coefficients_by_inverse_dft(*fractions: CoprimeFraction) -> np.ndarray:
     """Coefficients c_k = (1/N) sum_j t_j exp(-2*pi*i*k*j/N), the inverse DFT of
     the target phases t_j = exp(-i*pi*M*j^2/N) (N even) or exp(-i*pi*M*j*(j-1)/N)

@@ -138,9 +138,17 @@ def check_golden_states(cfg: VerifyConfig) -> list[CheckResult]:
     return _sweep("gauss", ["golden-states-exact"], rows, "{cases} reference states")
 
 
-def _route_residuals(fractions: list[CoprimeFraction]) -> np.ndarray:
+def _closed_values(fractions: list[CoprimeFraction]) -> np.ndarray:
+    """The closed forms of fractions of one N, one row each, gathered at their numerators
+    (``_closed_numerators``) from the 8N values exp(i*pi*r/(4N))/sqrt(N), r < 8N, evaluated
+    once per N: ``unit_phase`` depends only on the reduced numerator, so the bits are those
+    of evaluating the whole table."""
     n = fractions[0].N
-    values = unit_phase(_closed_numerators(*fractions), 4 * n) / math.sqrt(n)
+    return (unit_phase(np.arange(8 * n), 4 * n) / math.sqrt(n))[_closed_numerators(*fractions)]
+
+
+def _route_residuals(fractions: list[CoprimeFraction]) -> np.ndarray:
+    n, values = fractions[0].N, _closed_values(fractions)
     direct = direct_coefficients(*fractions)
     return np.column_stack([
         np.abs(values - direct).max(axis=1),
@@ -151,7 +159,7 @@ def _route_residuals(fractions: list[CoprimeFraction]) -> np.ndarray:
 
 def check_coefficient_routes(cfg: VerifyConfig) -> list[CheckResult]:
     """One sweep over all coprime fractions with N <= coeff_n_max comparing
-    the closed form, evaluated from its integer numerator table, against the
+    the closed form, gathered from its N's 8N values (``_closed_values``), against the
     direct sum and the inverse DFT, checking the magnitude law N*|c_k|^2 = 1
     on the direct sums as an integer after rounding (the value is the most
     k that break it in one fraction), and verifying the forward transform

@@ -149,18 +149,31 @@ def psi_coherent(alpha: complex, x) -> np.ndarray:
     return math.pi ** -0.25 * np.exp(-0.5 * square + 1j * _phase_within_digits("alpha", phase))
 
 
+def _near_positions(alpha: complex, x) -> tuple[np.ndarray, np.ndarray]:
+    """x (``_positions``) with 0.0 in place of each |x| > 2*|alpha| + 40, and the mask of those.
+    Each term of a cat form is a phase times exp(-(x - x_k)^2/2) with |x_k| <= sqrt(2)*|alpha|,
+    below exp(-800) there, so 0.0 in floating point: the forms write 0 there and evaluate only
+    the positions within 2*|alpha| + 40 of 0, where x*x is at most about 4*|alpha|^2.  The forms
+    index their ``np.where`` with ``[()]``, so a scalar x still gives a scalar."""
+    x = _positions("x", x)
+    far = np.abs(x) > 2.0 * float(abs(alpha)) + 40.0
+    return np.where(far, 0.0, x), far
+
+
 def psi_cat_P(alpha: complex, x) -> np.ndarray:
     """Closed form of the two-component parity cat wavefunction:
     sqrt(2)/pi^{1/4} exp((a^2 - |a|^2 - x^2)/2) cos(sqrt(2) a x - pi/4).
 
     The cosine is two exponentials with the Gaussian inside each: no factor overflows alone.
     Substituting alpha -> -i*alpha gives the Yurke-Stoler state.  ValueError naming x where a
-    position is not finite (``_positions``), or alpha where |alpha|^2 is not.
+    position is not finite (``_positions``), or alpha where |alpha|^2 is not; 0.0 far out
+    (``_near_positions``).
     """
-    x = _positions("x", x)
+    x, far = _near_positions(alpha, x)
     gauss = 0.5 * (alpha * alpha - _abs_squared(alpha) - x * x)
     z = 1j * (math.sqrt(2.0) * alpha * x - math.pi / 4.0)
-    return (np.exp(gauss + z) + np.exp(gauss - z)) / (math.sqrt(2.0) * math.pi ** 0.25)
+    return np.where(far, 0j, (np.exp(gauss + z) + np.exp(gauss - z))
+                    / (math.sqrt(2.0) * math.pi ** 0.25))[()]
 
 
 def psi_cat_F(alpha: complex, x) -> np.ndarray:
@@ -170,13 +183,15 @@ def psi_cat_F(alpha: complex, x) -> np.ndarray:
 
     This expression is exactly pi^{1/4} times the normalized 3/4 superposition.
     cosh and sinh are two exponentials each, with the Gaussian inside each term.  ValueError
-    naming x where a position is not finite (``_positions``), or alpha where |alpha|^2 is not.
+    naming x where a position is not finite (``_positions``), or alpha where |alpha|^2 is not;
+    0.0 far out (``_near_positions``).
     """
-    x = _positions("x", x)
+    x, far = _near_positions(alpha, x)
     gauss = -0.5 * (_abs_squared(alpha) + x * x)
     c, s = gauss - 0.5j * alpha * alpha, gauss + 0.5j * alpha * alpha + 0.25j * math.pi
     u, v = (1.0 + 1.0j) * alpha * x, (1.0 - 1.0j) * alpha * x
-    return 0.5 * (np.exp(c + u) + np.exp(c - u) + np.exp(s + v) - np.exp(s - v))
+    return np.where(far, 0j, 0.5 * (np.exp(c + u) + np.exp(c - u)
+                                    + np.exp(s + v) - np.exp(s - v)))[()]
 
 
 def psi_cat_F_inverse(alpha: complex, x) -> np.ndarray:

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+from gausscat import cli
 from gausscat.cli import _coeffs_json, _print_columns, _yurke_stoler_view, main
-from gausscat.fock import _amplitude_guard
+from gausscat.fock import _amplitude_guard, time_evolution_residual
 from gausscat.gauss_sums import (CoprimeFraction, RationalAngle, _coefficient_values,
                                  closed_coefficients, direct_coefficients)
 from gausscat.superposition import (build_descriptor, coefficient_to_dict,
@@ -130,6 +131,19 @@ class TestState:
         assert code == 0
         assert "compass" not in out  # plain data, no prose
         assert out.count("|exp(i·") == 4
+
+    @pytest.mark.parametrize("lines", [1, 3, 1 << 14])
+    @pytest.mark.parametrize("m, n", [(5, 12), (7, 40), (2, 3989)])
+    def test_text_blocks_are_one_line_per_component(self, capsys, monkeypatch, lines, m, n):
+        # the lines printed in blocks, each distinct coefficient formatted once,
+        # against one line per component from its own RationalAngle rotation
+        monkeypatch.setattr(cli, "_STATE_LINES", lines)
+        desc = build_descriptor(CoprimeFraction(m, n))
+        for view, flags in ((desc, ()), (_yurke_stoler_view(desc), ("--yurke-stoler",))):
+            _, out, _ = run_cli(capsys, "state", str(m), str(n), *flags)
+            want = [f"k={k}: {c} · |exp(i·{RationalAngle(r, 2 * n)})·α⟩"
+                    for k, (c, r) in enumerate(zip(view.components, view.rotations))]
+            assert out.splitlines()[1:] == want
 
 
 def _descriptor_reference(desc):
@@ -380,6 +394,15 @@ class TestWavefunction:
         last = err.splitlines()[-1]
         assert last.startswith(f"gausscat {args[0]}: error: {flag}: "), last
         assert re.findall(r"--[a-z][-a-z]*", last) == [flag], last
+
+    @pytest.mark.parametrize("t, dim", [("1e15", "64"), ("nan", "64"), ("-3e10", "200")])
+    def test_time_bound_refusal_is_the_librarys_message(self, capsys, t, dim):
+        # the CLI wrote the bound in its own words; now "--" plus the evolution's refusal
+        with pytest.raises(ValueError) as refusal:
+            time_evolution_residual(1.0, CoprimeFraction(1, 3), [float(t)], int(dim))
+        with pytest.raises(SystemExit):
+            main(["evolve", "1", "3", f"--t={t}", "--dim", dim])
+        assert capsys.readouterr().err.splitlines()[-1] == f"gausscat evolve: error: --{refusal.value}"
 
     def test_alpha_zero_passes_the_guard_at_any_dimension(self, capsys):
         # the vacuum is exact at every dim >= 1, so the guard never fires at alpha = 0

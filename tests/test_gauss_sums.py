@@ -226,6 +226,30 @@ class TestCoprimeFraction:
             CoprimeFraction(m, n)
 
 
+# each refusal of the integer number theory and the exact carriers, by the argument's name;
+# they read "need 0 < M < N", "modulus must be ...", "Jacobi symbol needs ..." and such
+_REFUSALS = {
+    "CoprimeFraction-M-type": (TypeError, "M", lambda: CoprimeFraction(1.0, 3)),
+    "CoprimeFraction-N-type": (TypeError, "N", lambda: CoprimeFraction(1, 3.0)),
+    "CoprimeFraction-N-small": (ValueError, "N", lambda: CoprimeFraction(1, 1)),
+    "CoprimeFraction-M-range": (ValueError, "M", lambda: CoprimeFraction(4, 3)),
+    "CoprimeFraction-M-coprime": (ValueError, "M", lambda: CoprimeFraction(2, 4)),
+    "mod_inverse-n": (ValueError, "n", lambda: mod_inverse(1, 0)),
+    "mod_inverse-m": (ValueError, "m", lambda: mod_inverse(6, 4)),
+    "RationalAngle-den": (ValueError, "den", lambda: RationalAngle(1, 0)),
+    "jacobi_symbol-b": (ValueError, "b", lambda: jacobi_symbol(2, 4)),
+    "ExactCoefficient-inv_sqrt_n": (ValueError, "inv_sqrt_n",
+                                    lambda: ExactCoefficient(0, RationalAngle(0, 1))),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_refusal_names_its_argument(case):
+    error, name, call = _REFUSALS[case]
+    with pytest.raises(error, match=f"^{name}: "):
+        call()
+
+
 class TestUnitPhase:
     @given(st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=40),
            st.integers(1, 500))
@@ -407,6 +431,24 @@ class TestDirectRoute:
         monkeypatch.setattr(gauss_sums, "_BLOCK_ENTRIES", 7 * 101)
         assert [s.stop - s.start for s in _k_blocks(101)] == [7] * 14 + [3]
         assert np.abs(direct_coefficients(*fractions) - whole).max() <= 2e-16
+
+    @pytest.mark.parametrize("n, entries, blocks", [(101, None, 1), (101, 7 * 101, 15),
+                                                    (1031, None, 2)])
+    def test_products_in_place_keep_the_bits(self, monkeypatch, n, entries, blocks):
+        # each block's product written into its row and one division at the end,
+        # against w @ t / n per fraction and block
+        if entries:
+            monkeypatch.setattr(gauss_sums, "_BLOCK_ENTRIES", entries)
+        assert len(list(_k_blocks(n))) == blocks
+        fractions = [CoprimeFraction(m, n) for m in range(1, n) if math.gcd(m, n) == 1][:12]
+        n, roots, terms = _targets(fractions)
+        ell = np.arange(n, dtype=np.int64)
+        want = np.empty(terms.shape, dtype=complex)
+        for block in _k_blocks(n):
+            w = roots[np.multiply.outer(-2 * ell[block], ell) % (2 * n)]
+            for row, t in zip(want, terms):
+                row[block] = w @ t / n
+        assert direct_coefficients(*fractions).tobytes() == want.tobytes()
 
     def test_mixed_or_no_denominator_rejected(self):
         with pytest.raises(ValueError):

@@ -4,13 +4,14 @@ must fail on a NaN residual and on a sweep that covers no case."""
 import cmath
 import dataclasses
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
 
 import gausscat
 from gausscat import fock, gauss_sums, superposition, verify, wavefunc
-from gausscat.gauss_sums import CoprimeFraction
+from gausscat.gauss_sums import CoprimeFraction, _closed_numerators, unit_phase
 from gausscat.verify import VerifyConfig, run_checks
 from gausscat.wavefunc import GridSpec
 
@@ -314,14 +315,15 @@ class TestSharedTransform:
 
 class TestValuesEvaluatedOnce:
     def test_gauss_sweep_evaluates_each_shared_value_once(self, monkeypatch):
-        # the values passed to unit_phase: the whole closed table of each N,
-        # phi(N) rows of N, and the one table of 2N roots that _targets builds
-        # for each of the three other routes per N; the golden descriptors are
+        # the values passed to unit_phase: the 8N closed values of each N, from
+        # which its phi(N) rows of N are gathered (the whole table, 55,204 values
+        # here before), and the one table of 2N roots that _targets builds for
+        # each of the three other routes per N; the golden descriptors are
         # compared as exact phases and evaluate nothing
         cfg = VerifyConfig(coeff_n_max=60)
-        closed = sum(sum(math.gcd(m, n) == 1 for m in range(1, n)) * n
-                     for n in range(2, cfg.coeff_n_max + 1))
+        closed = sum(8 * n for n in range(2, cfg.coeff_n_max + 1))
         roots = sum(3 * 2 * n for n in range(2, cfg.coeff_n_max + 1))
+        assert closed + roots == 25_606
         evaluated = []
         original = gauss_sums.unit_phase
 
@@ -334,6 +336,15 @@ class TestValuesEvaluatedOnce:
             monkeypatch.setattr(module, "unit_phase", counted)
         assert all(r.passed for r in run_checks(cfg, ["gauss"]))
         assert sum(evaluated) == closed + roots
+
+
+def test_gathered_closed_rows_are_the_bits_of_the_whole_table():
+    # the sweep's closed rows, gathered from the 8N values of each N, against
+    # one unit_phase call over each N's whole phi(N) x N numerator table
+    for n, group in groupby(verify.coprime_fractions(200), key=lambda f: f.N):
+        fractions = list(group)
+        whole = unit_phase(_closed_numerators(*fractions), 4 * n) / math.sqrt(n)
+        assert verify._closed_values(fractions).tobytes() == whole.tobytes(), n
 
 
 class TestClosedRouteBatched:

@@ -195,6 +195,21 @@ class TestHugeAmplitudes:
         assert psi_coherent(alpha, 0.0) == value
 
 
+class TestHugePositions:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1j, 1.5 + 0.5j, 2.0 - 2.0j, 1e100 + 1e100j])
+    @pytest.mark.parametrize("name", ["psi_cat_P", "psi_cat_F", "psi_cat_F_inverse"])
+    def test_cat_forms_are_zero_far_out_without_a_warning(self, name, alpha):
+        # x * x overflowed with a RuntimeWarning, and at +-1e308 alpha * x too: the value
+        # read nan there for every amplitude but 0, 1 and 1j; the Gaussian makes it 0
+        x = np.array([1e160, -1e200, 1e308, -1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = getattr(wavefunc, name)(alpha, x)
+            scalar = getattr(wavefunc, name)(alpha, 1e200)
+        assert (values == 0).all()
+        assert isinstance(scalar, np.complex128) and scalar == 0  # a scalar x gives a scalar
+
+
 _THIRD = CoprimeFraction(1, 3)
 
 # a position that is not finite, or a size below its least value, each by the argument's name
