@@ -8,11 +8,11 @@ Subcommands:
     evolve        fidelity of the time-evolution identity over a time grid
     verify        run the verification suite and report pass/fail
 
-Output is deterministic: the same arguments produce byte-identical output.
-One column writer prints the tables of wavefunction, evolve and coeffs --format
-csv, so their CSV and JSON forms carry the same numbers.  state and coeffs --format json
-write json.dumps(indent=2)'s text from one template per component or row; verify
---format json and the column writer's one-line JSON go through json.dumps.
+Output is byte-identical for the same arguments on one machine with one numpy and BLAS
+build, under any BLAS thread count.  One column writer prints the tables of wavefunction,
+evolve and coeffs --format csv, so their CSV and JSON forms carry the same numbers.  state
+and coeffs --format json write json.dumps(indent=2)'s text from one template per component
+or row; verify --format json and the column writer's one-line JSON go through json.dumps.
 Exit codes: 0 success, 1 verification/discrepancy failure, 2 usage error.
 """
 
@@ -40,6 +40,7 @@ from .gauss_sums import (
 from .superposition import (
     KittenDescriptor,
     _COEFF_JSON,
+    _reduced_rotations,
     build_descriptor,
     coefficients_by_inverse_dft,
     descriptor_to_json,
@@ -140,13 +141,11 @@ _STATE_LINES = 1 << 14
 def _state_lines(desc: KittenDescriptor) -> Iterator[str]:
     """The component lines of the state text form, "k=K: c_k · |exp(i·rotation_k)·α⟩": each
     distinct coefficient object (``closed_coefficients`` shares equal ones) is formatted once,
-    and the rotations are reduced over 2N by one ``np.gcd`` of the column."""
-    two_n = 2 * desc.fraction.N
-    gcd = np.gcd(np.array(desc.rotations, dtype=np.int64), two_n).tolist()
+    and the rotations are reduced over 2N as in the JSON form (``_reduced_rotations``)."""
     shared = dict(zip(map(id, desc.components), desc.components))
     texts = {key: str(c) for key, c in shared.items()}
-    return (f"k={k}: {texts[id(c)]} · |exp(i·{_angle_text(r // g, two_n // g)})·α⟩"
-            for k, c, r, g in zip(range(desc.fraction.N), desc.components, desc.rotations, gcd))
+    return (f"k={k}: {texts[id(c)]} · |exp(i·{_angle_text(*rotation)})·α⟩"
+            for k, (c, rotation) in enumerate(zip(desc.components, _reduced_rotations(desc))))
 
 
 def cmd_state(args: argparse.Namespace) -> int:

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import sys
 import warnings
 from typing import Iterable
 
 import numpy as np
 
-from .gauss_sums import CoprimeFraction, unit_phase
+from .gauss_sums import CoprimeFraction, _integer, unit_phase
 from .superposition import KittenDescriptor, _branches
 
 __all__ = [
@@ -79,26 +78,15 @@ def required_dimension(alpha: complex) -> int:
     return dim if within_truncation_guard(alpha, dim) else dim + 1
 
 
-def _dimension(name: str, size: int, least: int = 0) -> int:
-    """One size rule: ``operator.index`` of size, TypeError naming it or ValueError below least."""
-    try:
-        size = operator.index(size)
-    except TypeError:
-        raise TypeError(f"{name}: must be an integer, got {size!r}") from None
-    if size < least:
-        raise ValueError(f"{name}: must be at least {least}, got {size}")
-    return size
-
-
 def within_truncation_guard(alpha: complex, dim: int) -> bool:
     """|alpha|^2 <= dim - 4*sqrt(dim), clamped at zero so that alpha = 0,
     whose vacuum vector is exact at any dim >= 1, always passes; ValueError naming dim below 1."""
-    return abs(alpha) * abs(alpha) <= max(0.0, _dimension("dim", dim, 1) - 4.0 * math.sqrt(dim))
+    return abs(alpha) * abs(alpha) <= max(0.0, _integer("dim", dim, 1) - 4.0 * math.sqrt(dim))
 
 
 def within_time_bound(t: float, dim: int) -> bool:
     """t is finite and |t|*(dim - 1/2) <= 2**40 (phases then cost ~1e-10); ValueError naming dim."""
-    return abs(t) * (_dimension("dim", dim, 1) - 0.5) <= 2.0 ** 40
+    return abs(t) * (_integer("dim", dim, 1) - 0.5) <= 2.0 ** 40
 
 
 def _time_guard(t: float, dim: int) -> None:
@@ -113,16 +101,16 @@ def coherent_underflows(alpha: complex) -> bool:
 
 
 def rotation_diagonal(f: CoprimeFraction, dim: int) -> np.ndarray:
-    """Diagonal of U(phi) = exp(-i*phi*(L - 1/2)): entries exp(-i*phi*n), n < ``_dimension``."""
-    return unit_phase(-2 * f.M * np.arange(_dimension("dim", dim), dtype=np.int64), f.N)
+    """Diagonal of U(phi) = exp(-i*phi*(L - 1/2)): entries exp(-i*phi*n), n < dim (``_integer``)."""
+    return unit_phase(-2 * f.M * np.arange(_integer("dim", dim, 0), dtype=np.int64), f.N)
 
 
 def kerr_diagonal(f: CoprimeFraction, dim: int) -> np.ndarray:
     """Diagonal of the Kerr unitary G(phi): entries exp(i*phi*n*(n-1)/2).
 
-    On |n> the generator (L - 1/2)(L - 3/2) acts as n*(n-1), n < ``_dimension``.
+    On |n> the generator (L - 1/2)(L - 3/2) acts as n*(n-1), n < dim (``_integer``).
     """
-    n = np.arange(_dimension("dim", dim), dtype=np.int64)
+    n = np.arange(_integer("dim", dim, 0), dtype=np.int64)
     return unit_phase(f.M * n * (n - 1), f.N)
 
 
@@ -131,7 +119,7 @@ def _amplitude_guard(alpha, dim: int) -> str | None:
     ValueError starting ``dim: `` where dim < 1, else ``alpha: `` where an amplitude is not
     finite or its exp(-|alpha|^2/2) underflows (``coherent_underflows``); then the message
     of |alpha|^2 > dim - 4*sqrt(dim), the truncation bound, or None within it."""
-    _dimension("dim", dim, 1)
+    _integer("dim", dim, 1)
     alpha = np.asarray(alpha, dtype=complex)
     if not np.isfinite(alpha).all():
         raise ValueError(f"alpha: amplitude {alpha[~np.isfinite(alpha)][0]} is not finite")
@@ -203,7 +191,7 @@ def aN_identity_residual(f: CoprimeFraction, dim: int) -> int:
     exp(i*pi * 2M*sum(r)/N) has an integer numerator, a multiple of N, so ``unit_phase``
     gives exactly +1 or -1.  ValueError naming dim at or below N, where no row is valid."""
     m, n = f.M, f.N
-    rows = np.arange(_dimension("dim", dim, n + 1) - n)[:, None] + np.arange(n)
+    rows = np.arange(_integer("dim", dim, n + 1) - n)[:, None] + np.arange(n)
     return int(np.count_nonzero(unit_phase(2 * m * rows.sum(axis=1), n) != mu_factor(f)))
 
 
@@ -230,7 +218,7 @@ def time_evolution_residual(alpha: complex, f: CoprimeFraction, times: Iterable[
 def kerr_identity_residual(f: CoprimeFraction, dim: int) -> int:
     """Number of n < dim where |alpha>_phi = G(phi)^{-1} |alpha> fails, for every alpha at once
     (the coherent entries multiply both sides): exactly 0.  ValueError naming dim below 1."""
-    _dimension("dim", dim, 1)
+    _integer("dim", dim, 1)
     return int(np.count_nonzero(kerr_diagonal(f, dim).conj() != _series_phases(f, dim)))
 
 
@@ -238,7 +226,7 @@ def kerr_conjugation_residual(f: CoprimeFraction, dim: int) -> float:
     """Largest |conj(g[n-1]) g[n] - conj(u[n-1])|, 0 < n < D, g the Kerr and u the rotation
     diagonal: G^{-1} a G = U^{-1} a on the band a[n-1, n] = sqrt(n), off which both sides are
     zero, without the magnitude both share; flat in D, and a wrong phase reads at full size."""
-    g = kerr_diagonal(f, _dimension("dim", dim, 2))
+    g = kerr_diagonal(f, _integer("dim", dim, 2))
     return float(np.abs(g.conj()[:-1] * g[1:] - rotation_diagonal(f, dim).conj()[:-1]).max())
 
 

@@ -27,6 +27,7 @@ equalities instead of float comparisons.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -44,14 +45,25 @@ __all__ = [
 ]
 
 
+def _integer(name: str, value: int, least: int | None = None) -> int:
+    """The one integer rule: ``operator.index`` of value, an exact int (a bool or numpy integer
+    is read as its int, a float refused); TypeError naming it, or ValueError below least."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name}: must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name}: must be at least {least}, got {value}")
+    return value
+
+
 def mod_inverse(m: int, n: int) -> int:
     """The unique d with 1 <= d <= n and m*d = 1 (mod n).
 
-    Requires gcd(m, n) = 1.  For n = 1 the inverse is taken to be 1.  ValueError naming n
-    below 1, or m without an inverse.
+    Requires gcd(m, n) = 1.  For n = 1 the inverse is taken to be 1.  ``_integer`` reads m
+    and n, n at least 1, so an error names either; ValueError naming m without an inverse.
     """
-    if n < 1:
-        raise ValueError(f"n: must be at least 1, got {n}")
+    m, n = _integer("m", m), _integer("n", n, 1)
     if n == 1:
         return 1
     g = math.gcd(m % n, n)
@@ -66,10 +78,11 @@ def jacobi_symbol(a: int, b: int) -> int:
     Multiplicative in both arguments; equals the product of Legendre
     symbols over the prime factorization of b, but is computed here by
     quadratic-reciprocity reduction so no factorization is needed.
-    Returns 0 exactly when gcd(a, b) > 1, and (a/1) = 1 by convention.  ValueError naming b
-    where it is not odd and positive.
+    Returns 0 exactly when gcd(a, b) > 1, and (a/1) = 1 by convention.  ``_integer`` reads a
+    and b, b at least 1, so an error names either; ValueError naming b where it is even.
     """
-    if b <= 0 or b % 2 == 0:
+    a, b = _integer("a", a), _integer("b", b, 1)
+    if b % 2 == 0:
         raise ValueError(f"b: must be odd and positive, got {b}")
     a %= b
     result = 1
@@ -93,19 +106,18 @@ class RationalAngle:
     (phases are identified mod 2*pi); the zero angle is stored as (0, 1).
     Construction normalizes any integer pair, so ``RationalAngle(-1, 4)``
     becomes ``RationalAngle(7, 4)``; it holds no float (``unit_phase`` evaluates it).
-    ValueError naming den below 1.
+    ``_integer`` reads num and den, den at least 1, so an error names either.
     """
 
     num: int
     den: int = 1
 
     def __post_init__(self) -> None:
-        if self.den <= 0:
-            raise ValueError(f"den: must be at least 1, got {self.den}")
-        num = self.num % (2 * self.den)
-        g = math.gcd(num, self.den) if num else self.den
+        num, den = _integer("num", self.num), _integer("den", self.den, 1)
+        num %= 2 * den
+        g = math.gcd(num, den) if num else den
         object.__setattr__(self, "num", num // g)
-        object.__setattr__(self, "den", self.den // g)
+        object.__setattr__(self, "den", den // g)
 
     def __str__(self) -> str:
         return _angle_text(self.num, self.den)
@@ -127,24 +139,21 @@ def _angle_text(num: int, den: int) -> str:
 class CoprimeFraction:
     """A reduced fraction M/N with 0 < M < N, encoding the angle 2*pi*M/N.
 
-    TypeError naming M or N where it is not an integer; ValueError naming N below 2, else M
-    outside (0, N) or not coprime to N.  The name is picked only once a rule has failed.
+    ``_integer`` reads M and N, N at least 2, and both are stored as its ints; then ValueError
+    naming M outside (0, N) or not coprime to N.
     """
 
     M: int
     N: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.M, int) or not isinstance(self.N, int):
-            name = "M" if not isinstance(self.M, int) else "N"
-            raise TypeError(f"{name}: must be an integer, got {getattr(self, name)!r}")
-        if not 0 < self.M < self.N:
-            if self.N < 2:
-                raise ValueError(f"N: must be at least 2, got {self.N}")
-            raise ValueError(f"M: need 0 < M < N, got M={self.M}, N={self.N}")
-        g = math.gcd(self.M, self.N)
-        if g != 1:
-            raise ValueError(f"M: must be coprime to N = {self.N} (gcd = {g})")
+        m, n = _integer("M", self.M), _integer("N", self.N, 2)
+        if not 0 < m < n:
+            raise ValueError(f"M: need 0 < M < N, got M={m}, N={n}")
+        if (g := math.gcd(m, n)) != 1:
+            raise ValueError(f"M: must be coprime to N = {n} (gcd = {g})")
+        object.__setattr__(self, "M", m)
+        object.__setattr__(self, "N", n)
 
     @property
     def n_even(self) -> bool:
@@ -160,16 +169,15 @@ class ExactCoefficient:
     """An exact superposition coefficient exp(i*pi*phase) / sqrt(n).
 
     The phase is a canonical ``RationalAngle``, so a -1 is the phase pi and equality is
-    plain field equality.  ``inv_sqrt_n`` stores the integer n whose inverse square root
-    is the magnitude; ``_coefficient_values`` evaluates a list of them.
+    plain field equality.  ``inv_sqrt_n`` stores the integer n (``_integer``, at least 1) whose
+    inverse square root is the magnitude; ``_coefficient_values`` evaluates a list of them.
     """
 
     inv_sqrt_n: int
     phase: RationalAngle
 
     def __post_init__(self) -> None:
-        if self.inv_sqrt_n < 1:
-            raise ValueError(f"inv_sqrt_n: must be at least 1, got {self.inv_sqrt_n}")
+        object.__setattr__(self, "inv_sqrt_n", _integer("inv_sqrt_n", self.inv_sqrt_n, 1))
 
     def __str__(self) -> str:
         root = f"√{self.inv_sqrt_n}"

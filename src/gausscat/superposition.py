@@ -20,7 +20,7 @@ rational phases and equal integer rotation numerators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -182,14 +182,20 @@ _COMPONENT_JSON = ('    {\n      "k": %d,\n      "coeff": ' + _COEFF_JSON + ',\n
                    '\n        "num": %d,\n        "den": %d\n      }\n    }')
 
 
+def _reduced_rotations(desc: KittenDescriptor) -> Iterator[tuple[int, int]]:
+    """Each rotation r over 2N as the reduced fraction (r/g, 2N/g) by one ``np.gcd`` column."""
+    two_n = 2 * desc.fraction.N
+    gcd = np.gcd(np.array(desc.rotations, dtype=np.int64), two_n).tolist()
+    return ((r // g, two_n // g) for r, g in zip(desc.rotations, gcd))
+
+
 def descriptor_to_json(desc: KittenDescriptor) -> str:
     """The stable JSON wire format, the text of ``json.dumps(obj, indent=2)``: one template
     per component, joined once.  Phases mean exp(i*pi*num/den); rotations are the multiplier
-    of alpha in the same convention, reduced over 2N by one ``np.gcd`` of the column."""
-    n, two_n = desc.fraction.N, 2 * desc.fraction.N
-    gcd = np.gcd(np.array(desc.rotations, dtype=np.int64), two_n).tolist()
-    rows = [_COMPONENT_JSON % (k, c.phase.num, c.phase.den, c.inv_sqrt_n, r // g, two_n // g)
-            for k, c, r, g in zip(range(n), desc.components, desc.rotations, gcd)]
+    of alpha in the same convention, reduced over 2N (``_reduced_rotations``)."""
+    n = desc.fraction.N
+    rows = [_COMPONENT_JSON % (k, c.phase.num, c.phase.den, c.inv_sqrt_n, *rotation)
+            for k, (c, rotation) in enumerate(zip(desc.components, _reduced_rotations(desc)))]
     rows[0] = (f'{{\n  "M": {desc.fraction.M},\n  "N": {n},\n  "parity": "{desc.parity}",'
                f'\n  "components": [\n' + rows[0])
     rows[-1] += "\n  ]\n}"

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fock, wavefunc
 # closed_coefficients is not called here: perfbench/selftest.py's rebinding list needs it bound
-from .gauss_sums import (CoprimeFraction, _closed_numerators, closed_coefficients,
+from .gauss_sums import (CoprimeFraction, _closed_numerators, _integer, closed_coefficients,
                          direct_coefficients, unit_phase)
 from .superposition import (
     build_descriptor,
@@ -103,8 +103,8 @@ class VerifyConfig:
 
 
 def coprime_fractions(n_max: int) -> Iterator[CoprimeFraction]:
-    """All reduced fractions M/N with 2 <= N <= n_max, ordered by (N, M)."""
-    for n in range(2, n_max + 1):
+    """All reduced fractions M/N with 2 <= N <= n_max (``_integer``), ordered by (N, M)."""
+    for n in range(2, _integer("n_max", n_max) + 1):
         for m in range(1, n):
             if math.gcd(m, n) == 1:
                 yield CoprimeFraction(m, n)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import _abs_squared, _dimension, kitten_vector_series
-from .gauss_sums import CoprimeFraction
+from .fock import _abs_squared, kitten_vector_series
+from .gauss_sums import CoprimeFraction, _integer
 from .superposition import KittenDescriptor, _branches
 
 __all__ = [
@@ -57,8 +57,8 @@ class AliasingWarning(UserWarning):
 class GridSpec:
     """Uniform symmetric grid on [-half_width, +half_width].
 
-    The point count must be an odd integer >= 3 (``_dimension``) so the grid contains x = 0
-    and is exactly symmetric, which lets the parity operator act by reversal.
+    The point count must be an odd integer >= 3, stored as the int ``_integer`` reads, so the
+    grid contains x = 0 and is exactly symmetric, which lets the parity operator act by reversal.
     """
 
     half_width: float
@@ -67,7 +67,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not 0 < 2.0 * self.half_width < math.inf:
             raise ValueError(f"half_width: must be > 0 with a finite span, got {self.half_width}")
-        if _dimension("points", self.points, 3) % 2 == 0:
+        object.__setattr__(self, "points", _integer("points", self.points, 3))
+        if self.points % 2 == 0:
             raise ValueError(f"points: must be odd, got {self.points}")
 
     @property
@@ -115,10 +116,10 @@ def hermite_basis(n_max: int, x: np.ndarray) -> np.ndarray:
         psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1}
     so no factorials or large polynomial values ever appear.  psi_0 is 0.0
     beyond |x| ~ 38.6, so it is evaluated on min(|x|, 40), where x^2 cannot overflow.
-    An error naming n_max below -1 or not an integer (``_dimension``), or x (``_positions``).
+    An error naming n_max below -1 or not an integer (``_integer``), or x (``_positions``).
     """
     x = _positions("x", x)
-    basis = np.zeros((_dimension("n_max", n_max, -1) + 1, x.size))
+    basis = np.zeros((_integer("n_max", n_max, -1) + 1, x.size))
     basis[:1] = math.pi ** -0.25 * np.exp(-0.5 * np.minimum(np.abs(x), 40.0) ** 2)
     if n_max >= 1:
         basis[1] = math.sqrt(2.0) * x * basis[0]

@@ -240,6 +240,15 @@ _REFUSALS = {
     "jacobi_symbol-b": (ValueError, "b", lambda: jacobi_symbol(2, 4)),
     "ExactCoefficient-inv_sqrt_n": (ValueError, "inv_sqrt_n",
                                     lambda: ExactCoefficient(0, RationalAngle(0, 1))),
+    # a float, integral or not, is no integer anywhere (``gauss_sums._integer``)
+    "jacobi_symbol-a-type": (TypeError, "a", lambda: jacobi_symbol(3.5, 9)),
+    "jacobi_symbol-b-type": (TypeError, "b", lambda: jacobi_symbol(2, 9.0)),
+    "mod_inverse-m-type": (TypeError, "m", lambda: mod_inverse(2.0, 5)),
+    "mod_inverse-n-type": (TypeError, "n", lambda: mod_inverse(2, None)),
+    "RationalAngle-num-type": (TypeError, "num", lambda: RationalAngle(1.5, 4)),
+    "RationalAngle-den-type": (TypeError, "den", lambda: RationalAngle(1, 2.5)),
+    "ExactCoefficient-inv_sqrt_n-type": (TypeError, "inv_sqrt_n",
+                                         lambda: ExactCoefficient(2.5, RationalAngle(1, 4))),
 }
 
 
@@ -248,6 +257,20 @@ def test_refusal_names_its_argument(case):
     error, name, call = _REFUSALS[case]
     with pytest.raises(error, match=f"^{name}: "):
         call()
+
+
+def test_jacobi_symbol_below_one_is_refused_by_the_integer_rule():
+    with pytest.raises(ValueError, match=r"^b: must be at least 1, got 0$"):
+        jacobi_symbol(2, 0)
+
+
+def test_numpy_integers_are_read_as_python_ints():
+    assert mod_inverse(np.int64(2), 5) == 3
+    f = CoprimeFraction(np.int64(2), np.int32(5))
+    assert f == CoprimeFraction(2, 5) and type(f.M) is int and type(f.N) is int
+    angle = RationalAngle(np.int64(-1), np.uint8(4))
+    assert angle == RationalAngle(7, 4) and type(angle.num) is type(angle.den) is int
+    assert type(ExactCoefficient(np.int16(3), angle).inv_sqrt_n) is int
 
 
 class TestUnitPhase:

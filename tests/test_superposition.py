@@ -263,3 +263,11 @@ class TestJsonRoundTrip:
         first = obj["components"][0]
         assert first["coeff"] == {"sign": 1, "phase_num": 7, "phase_den": 4, "inv_sqrt": 2}
         assert first["rotation"] == {"num": 1, "den": 2}
+
+    def test_bool_and_numpy_fractions_print_ints(self):
+        # the fields hold the ints that the integer rule reads, so the text is JSON
+        text = descriptor_to_json(build_descriptor(CoprimeFraction(True, 3)))
+        assert json.loads(text)["M"] == 1 and text == descriptor_to_json(
+            build_descriptor(CoprimeFraction(1, 3)))
+        assert descriptor_to_json(build_descriptor(CoprimeFraction(np.int64(3), np.int64(8)))) \
+            == descriptor_to_json(build_descriptor(CoprimeFraction(3, 8)))
