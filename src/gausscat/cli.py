@@ -24,15 +24,12 @@ import math
 import os
 import sys
 from dataclasses import asdict, replace
-from itertools import islice
-from typing import Iterator
 
 import numpy as np
 
 from .fock import _amplitude_guard, _time_guard, evolution_fidelity
 from .gauss_sums import (
     CoprimeFraction,
-    _angle_text,
     _coefficient_values,
     closed_coefficients,
     direct_coefficients,
@@ -40,7 +37,7 @@ from .gauss_sums import (
 from .superposition import (
     KittenDescriptor,
     _COEFF_JSON,
-    _reduced_rotations,
+    _descriptor_lines,
     build_descriptor,
     coefficients_by_inverse_dft,
     descriptor_to_json,
@@ -131,21 +128,7 @@ def _yurke_stoler_view(desc: KittenDescriptor) -> KittenDescriptor:
     """Fold the substitution alpha -> -i*alpha into the rotations: -pi/2 is
     3N over 2N, mod 4N."""
     n = desc.fraction.N
-    return replace(desc, rotations=tuple((r + 3 * n) % (4 * n) for r in desc.rotations))
-
-
-# Lines of the state text form per print call: one joined block is held at a time.
-_STATE_LINES = 1 << 14
-
-
-def _state_lines(desc: KittenDescriptor) -> Iterator[str]:
-    """The component lines of the state text form, "k=K: c_k · |exp(i·rotation_k)·α⟩": each
-    distinct coefficient object (``closed_coefficients`` shares equal ones) is formatted once,
-    and the rotations are reduced over 2N as in the JSON form (``_reduced_rotations``)."""
-    shared = dict(zip(map(id, desc.components), desc.components))
-    texts = {key: str(c) for key, c in shared.items()}
-    return (f"k={k}: {texts[id(c)]} · |exp(i·{_angle_text(*rotation)})·α⟩"
-            for k, (c, rotation) in enumerate(zip(desc.components, _reduced_rotations(desc))))
+    return replace(desc, rotations=(desc.rotations + 3 * n) % (4 * n))
 
 
 def cmd_state(args: argparse.Namespace) -> int:
@@ -159,8 +142,7 @@ def cmd_state(args: argparse.Namespace) -> int:
         label = "-i·α" if args.yurke_stoler else "α"
         print(f"# superposition for M/N = {f.M}/{f.N} ({desc.parity} N), "
               f"amplitude {label}")
-        lines = _state_lines(desc)
-        while block := "\n".join(islice(lines, _STATE_LINES)):
+        for block in _descriptor_lines(desc):
             print(block)
     return 0
 

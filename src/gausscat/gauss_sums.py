@@ -180,12 +180,17 @@ class ExactCoefficient:
         object.__setattr__(self, "inv_sqrt_n", _integer("inv_sqrt_n", self.inv_sqrt_n, 1))
 
     def __str__(self) -> str:
-        root = f"√{self.inv_sqrt_n}"
-        if self.phase.num == 0:
-            return f"1/{root}"
-        if self.phase.den == 1:
-            return f"-1/{root}"
-        return f"exp(i·{self.phase})/{root}"
+        return _coefficient_text(self.phase.num, self.phase.den, self.inv_sqrt_n)
+
+
+def _coefficient_text(num: int, den: int, inv_sqrt_n: int) -> str:
+    """The text of exp(i*pi*num/den)/sqrt(inv_sqrt_n) for a canonical angle num/den
+    (``ExactCoefficient``'s form): 1/√n, -1/√n or exp(i·angle)/√n."""
+    if num == 0:
+        return f"1/√{inv_sqrt_n}"
+    if den == 1:
+        return f"-1/√{inv_sqrt_n}"
+    return f"exp(i·{_angle_text(num, den)})/√{inv_sqrt_n}"
 
 
 def unit_phase(nums: np.typing.ArrayLike, den: np.typing.ArrayLike) -> np.ndarray:
@@ -264,11 +269,18 @@ def closed_coefficients(f: CoprimeFraction) -> list[ExactCoefficient]:
     Equal values are one frozen object per call; nothing is kept between calls.
     """
     (row,), n = _closed_numerators(f), f.N
-    present = np.zeros(8 * n, dtype=bool)
-    present[row] = True
-    values = np.flatnonzero(present)
+    values, index = _distinct(row, 8 * n)
     shared = [ExactCoefficient(n, RationalAngle(v, 4 * n)) for v in values.tolist()]
-    return np.array(shared, dtype=object)[np.searchsorted(values, row)].tolist()
+    return np.array(shared, dtype=object)[index].tolist()
+
+
+def _distinct(nums: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of integers in [0, size), ascending, and each one's index among
+    them: found in one boolean table of size entries, with no sort."""
+    present = np.zeros(size, dtype=bool)
+    present[nums] = True
+    values = np.flatnonzero(present)
+    return values, np.searchsorted(values, nums)
 
 
 def _targets(fractions: tuple[CoprimeFraction, ...]) -> tuple[int, np.ndarray, np.ndarray]:

@@ -24,7 +24,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import fock, wavefunc
-# closed_coefficients is not called here: perfbench/selftest.py's rebinding list needs it bound
 from .gauss_sums import (CoprimeFraction, _closed_numerators, _integer, closed_coefficients,
                          direct_coefficients, unit_phase)
 from .superposition import (
@@ -132,9 +131,12 @@ def _fock_detail(cfg: VerifyConfig) -> str:
 
 
 def check_golden_states(cfg: VerifyConfig) -> list[CheckResult]:
-    """Exact rational-phase equality of built descriptors against the
-    fixed hand-derived reference table (zero tolerance); ``cfg`` is unused."""
-    rows = ([float(build_descriptor(f) != reference)] for f, reference in reference_state_table())
+    """Exact equality with the fixed hand-derived reference table (zero tolerance): of each
+    built descriptor, as integer columns, and of the closed coefficients, as exact objects;
+    ``cfg`` is unused."""
+    rows = ([float(build_descriptor(f) != reference
+                   or closed_coefficients(f) != list(reference.components))]
+            for f, reference in reference_state_table())
     return _sweep("gauss", ["golden-states-exact"], rows, "{cases} reference states")
 
 

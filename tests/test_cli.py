@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from gausscat import cli
+from gausscat import superposition
 from gausscat.cli import _coeffs_json, _print_columns, _yurke_stoler_view, main
 from gausscat.fock import _amplitude_guard, time_evolution_residual
-from gausscat.gauss_sums import (CoprimeFraction, RationalAngle, _coefficient_values,
-                                 closed_coefficients, direct_coefficients)
+from gausscat.gauss_sums import (CoprimeFraction, ExactCoefficient, RationalAngle,
+                                 _coefficient_values, closed_coefficients, direct_coefficients)
 from gausscat.superposition import (build_descriptor, coefficient_to_dict,
                                     coefficients_by_inverse_dft, descriptor_to_json,
                                     reference_state_table)
@@ -132,27 +132,36 @@ class TestState:
         assert "compass" not in out  # plain data, no prose
         assert out.count("|exp(i·") == 4
 
-    @pytest.mark.parametrize("lines", [1, 3, 1 << 14])
+    @pytest.mark.parametrize("lines", [1, 3, 1 << 12])
     @pytest.mark.parametrize("m, n", [(5, 12), (7, 40), (2, 3989)])
     def test_text_blocks_are_one_line_per_component(self, capsys, monkeypatch, lines, m, n):
         # the lines printed in blocks, each distinct coefficient formatted once,
-        # against one line per component from its own RationalAngle rotation
-        monkeypatch.setattr(cli, "_STATE_LINES", lines)
+        # against one line per component from its own exact objects
+        monkeypatch.setattr(superposition, "_STATE_LINES", lines)
         desc = build_descriptor(CoprimeFraction(m, n))
         for view, flags in ((desc, ()), (_yurke_stoler_view(desc), ("--yurke-stoler",))):
             _, out, _ = run_cli(capsys, "state", str(m), str(n), *flags)
-            want = [f"k={k}: {c} · |exp(i·{RationalAngle(r, 2 * n)})·α⟩"
-                    for k, (c, r) in enumerate(zip(view.components, view.rotations))]
-            assert out.splitlines()[1:] == want
+            assert out.splitlines()[1:] == _text_reference(view)
+
+
+def _exact_components(desc):
+    """Per component, its coefficient and its rotation as exact objects."""
+    n = desc.fraction.N
+    return [(ExactCoefficient(n, RationalAngle(p, 4 * n)), RationalAngle(r, 2 * n))
+            for p, r in zip(desc.phases.tolist(), desc.rotations.tolist())]
+
+
+def _text_reference(desc):
+    """The component lines of the state text form, one per component."""
+    return [f"k={k}: {c} · |exp(i·{a})·α⟩" for k, (c, a) in enumerate(_exact_components(desc))]
 
 
 def _descriptor_reference(desc):
     """The descriptor's JSON as ``json.dumps(indent=2)`` writes its dict."""
-    n = desc.fraction.N
-    rotations = [RationalAngle(r, 2 * n) for r in desc.rotations]
-    return json.dumps({"M": desc.fraction.M, "N": n, "parity": desc.parity, "components": [
+    return json.dumps({"M": desc.fraction.M, "N": desc.fraction.N, "parity": desc.parity,
+                       "components": [
         {"k": k, "coeff": coefficient_to_dict(c), "rotation": {"num": a.num, "den": a.den}}
-        for k, (c, a) in enumerate(zip(desc.components, rotations))]}, indent=2)
+        for k, (c, a) in enumerate(_exact_components(desc))]}, indent=2)
 
 
 def _coeffs_reference(f, closed, direct, idft, discrepancies):
@@ -188,6 +197,18 @@ class TestJsonWriters:
         desc = build_descriptor(CoprimeFraction(2, 3989))
         for view in (desc, _yurke_stoler_view(desc)):
             assert descriptor_to_json(view) == _descriptor_reference(view)
+
+    @pytest.mark.parametrize("lines", [1, 2, 3, 7, 1 << 12])
+    @pytest.mark.parametrize("m, n", [(1, 2), (3, 4), (5, 12), (7, 40)])
+    def test_blocks_of_any_size(self, monkeypatch, lines, m, n):
+        # the head on the first row of the first block, the end on the last row of
+        # the last, whether the components fill one block, several or a partial last one
+        monkeypatch.setattr(superposition, "_STATE_LINES", lines)
+        desc = build_descriptor(CoprimeFraction(m, n))
+        for view in (desc, _yurke_stoler_view(desc)):
+            assert descriptor_to_json(view) == _descriptor_reference(view)
+            assert "\n".join(superposition._descriptor_lines(view)).splitlines() \
+                == _text_reference(view)
 
     def test_every_coefficient_table_up_to_n_30(self, capsys):
         for f in _fractions_up_to(30):

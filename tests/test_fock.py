@@ -204,8 +204,8 @@ class TestKittenVectors:
         # reference: one coherent vector per rotated amplitude, added in turn
         desc = build_descriptor(CoprimeFraction(m, n))
         loop = np.zeros(64, dtype=complex)
-        for c, r in zip(desc.components, desc.rotations):
-            value = _cmath_phase(c.phase.num, c.phase.den) / math.sqrt(c.inv_sqrt_n)
+        for p, r in zip(desc.phases.tolist(), desc.rotations.tolist()):
+            value = _cmath_phase(p, 4 * n) / math.sqrt(n)
             loop += value * coherent_vector(_cmath_phase(r, 2 * n) * alpha, 64)
         assert np.abs(kitten_vector_superposition(alpha, desc, 64) - loop).max() < 1e-15
 

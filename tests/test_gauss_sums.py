@@ -568,6 +568,47 @@ class TestClosedRoute:
             assert got.tolist() == [_closed_reference(m, n) for m in ms], n
 
 
+def _numerator_rows(n):
+    """The closed numerators of every M/N of one N, by M."""
+    ms = [m for m in range(1, n) if math.gcd(m, n) == 1]
+    return dict(zip(ms, _closed_numerators(*(CoprimeFraction(m, n) for m in ms))))
+
+
+class TestClosedNumeratorRelations:
+    """Exact relations between rows of the numerator table, from substitutions in the
+    defining sum; they are integer equalities and do not go through its branches.
+
+    M -> N-M conjugates the sum and re-indexes k, so num_k(N-M) = -num_k'(M) mod 8N with
+    k' = (-k - [N even]*N/2) mod N; for even N, l -> s*l with s a unit mod N gives
+    c_k(M) = c_k''(Ms^2 mod N), k'' = (ks + floor(Ms^2/N)*N/2) mod N.  A +1 in the odd-N
+    shift of j breaks the first at 1,302 fractions and a dropped (-1)^(dj) term at 686.
+    Neither relation sees a global half turn, nor so a Jacobi sign flipped for every
+    fraction: both add 4N to every numerator.  Only a comparison with the defining sum in
+    exact cyclotomic arithmetic would see those.
+    """
+
+    def test_mirror_fraction_is_the_conjugate_reindexed(self):
+        count = 0
+        for n in range(2, 80):
+            rows = _numerator_rows(n)
+            mirror = (-np.arange(n) - (0 if n % 2 else n // 2)) % n
+            for m, row in rows.items():
+                assert np.array_equal(rows[n - m], -row[mirror] % (8 * n)), (m, n)
+                count += 1
+        assert count == 1933
+
+    def test_even_n_unit_substitution_permutes_the_row(self):
+        count = 0
+        for n in range(2, 80, 2):
+            rows, k = _numerator_rows(n), np.arange(n)
+            for m, row in rows.items():
+                for s in rows:
+                    q, r = divmod(m * s * s, n)
+                    assert np.array_equal(row, rows[r][(k * s + q * (n // 2)) % n]), (m, s, n)
+                    count += 1
+        assert count == 13877
+
+
 @pytest.mark.parametrize("route", [
     _closed_numerators, direct_coefficients, coefficients_by_inverse_dft,
     lambda *fractions: verify_forward_dft(*fractions, coefficients=np.zeros((2, 3)))])

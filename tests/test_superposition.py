@@ -14,10 +14,13 @@ from gausscat.gauss_sums import (
     CoprimeFraction,
     ExactCoefficient,
     RationalAngle,
+    _coefficient_values,
     _targets,
+    closed_coefficients,
 )
 from gausscat.superposition import (
     KittenDescriptor,
+    _branches,
     build_descriptor,
     coefficients_by_inverse_dft,
     descriptor_to_json,
@@ -28,7 +31,9 @@ from references import _cmath_phase, coprime_fractions_st
 
 
 def _phases(desc):
-    return [(c.phase.num, c.phase.den) for c in desc.components]
+    """The phases as reduced (num, den) pairs of multiples of pi."""
+    angles = [RationalAngle(p, 4 * desc.fraction.N) for p in desc.phases.tolist()]
+    return [(a.num, a.den) for a in angles]
 
 
 def _rotations(desc):
@@ -38,8 +43,8 @@ def _rotations(desc):
 
 
 def _values(desc):
-    return np.array([_cmath_phase(c.phase.num, c.phase.den) / math.sqrt(c.inv_sqrt_n)
-                     for c in desc.components])
+    n = desc.fraction.N
+    return np.array([_cmath_phase(p, 4 * n) / math.sqrt(n) for p in desc.phases.tolist()])
 
 
 def _parse_descriptor(text):
@@ -48,14 +53,18 @@ def _parse_descriptor(text):
     assert [c["k"] for c in obj["components"]] == list(range(obj["N"]))
     assert all(c["coeff"]["sign"] == 1 for c in obj["components"])
     n = obj["N"]
+    assert all(c["coeff"]["inv_sqrt"] == n for c in obj["components"])
     desc = KittenDescriptor(
         CoprimeFraction(obj["M"], n),
-        tuple(ExactCoefficient(c["coeff"]["inv_sqrt"],
-                               RationalAngle(c["coeff"]["phase_num"], c["coeff"]["phase_den"]))
-              for c in obj["components"]),
-        tuple(c["rotation"]["num"] * 2 * n // c["rotation"]["den"] for c in obj["components"]))
+        [c["coeff"]["phase_num"] * 4 * n // c["coeff"]["phase_den"] for c in obj["components"]],
+        [c["rotation"]["num"] * 2 * n // c["rotation"]["den"] for c in obj["components"]])
     assert obj["parity"] == desc.parity
     return desc
+
+
+def _fractions_up_to(n_max):
+    return [CoprimeFraction(m, n) for n in range(2, n_max + 1) for m in range(1, n)
+            if math.gcd(m, n) == 1]
 
 
 class TestBuildDescriptor:
@@ -83,7 +92,7 @@ class TestBuildDescriptor:
 
     def test_weights_sum_to_one(self):
         desc = build_descriptor(CoprimeFraction(2, 7))
-        assert all(c.inv_sqrt_n == 7 for c in desc.components)
+        assert desc.phases.shape == desc.rotations.shape == (7,)
         total = sum(abs(_values(desc)) ** 2)
         assert abs(total - 1.0) < 1e-14
 
@@ -108,7 +117,8 @@ class TestGoldenTable:
         assert _phases(table[CoprimeFraction(3, 5)]) == [(2, 5), (8, 5), (8, 5), (2, 5), (0, 1)]
         # the bare -1 coefficient of the fourth pentagonal state sits at rotation 4*pi/5
         state45 = table[CoprimeFraction(4, 5)]
-        assert state45.components[2] == ExactCoefficient(5, RationalAngle(1, 1))
+        assert state45.phases[2] == 20  # 20*pi/20
+        assert _phases(state45)[2] == (1, 1)
         assert state45.rotations[2] == 8  # 8*pi/10
         assert _rotations(state45)[2] == (4, 5)
 
@@ -219,32 +229,97 @@ class TestDescriptorValidation:
     def test_wrong_component_count(self):
         f = CoprimeFraction(1, 3)
         good = build_descriptor(f)
-        with pytest.raises(ValueError):
-            KittenDescriptor(f, good.components[:2], good.rotations)
-        with pytest.raises(ValueError):
-            KittenDescriptor(f, good.components, good.rotations[:2])
+        with pytest.raises(ValueError, match=r"^phases: expected shape \(3,\), got \(2,\)$"):
+            KittenDescriptor(f, good.phases[:2], good.rotations)
+        with pytest.raises(ValueError, match=r"^rotations: expected shape \(3,\), got \(2,\)$"):
+            KittenDescriptor(f, good.phases, good.rotations[:2])
+
+    def test_ragged_or_nested_column_rejected(self):
+        f = CoprimeFraction(1, 2)
+        with pytest.raises(ValueError, match=r"^phases: "):
+            KittenDescriptor(f, [[0], [1, 2]], (2, 6))
+        with pytest.raises(ValueError, match=r"^rotations: expected shape \(2,\), got \(2, 1\)$"):
+            KittenDescriptor(f, (0, 0), [[2], [6]])
 
     def test_duplicate_rotations_rejected(self):
         f = CoprimeFraction(1, 2)
-        c = ExactCoefficient(2, RationalAngle(0, 1))
-        KittenDescriptor(f, (c, c), (2, 6))
-        with pytest.raises(ValueError):
-            KittenDescriptor(f, (c, c), (2, 2))
+        KittenDescriptor(f, (0, 0), (2, 6))
+        with pytest.raises(ValueError, match=r"^rotations: must be distinct, got 1 repeated$"):
+            KittenDescriptor(f, (0, 0), (2, 2))
 
-    def test_wrong_magnitude_rejected(self):
+    def test_phase_outside_two_turns_rejected(self):
+        # numerators over 4N must lie in [0, 8N): -1 and 16 are the phases 15 and 0
+        # only after reduction mod 16
         f = CoprimeFraction(1, 2)
-        c = ExactCoefficient(3, RationalAngle(0, 1))
-        with pytest.raises(ValueError):
-            KittenDescriptor(f, (c, c), (2, 6))
+        for phases, bad in [((-1, 0), -1), ((0, 16), 16)]:
+            with pytest.raises(ValueError, match=rf"^phases: must lie in \[0, 16\), got {bad}$"):
+                KittenDescriptor(f, phases, (2, 6))
 
     def test_rotation_outside_one_turn_rejected(self):
         # numerators over 2N must lie in [0, 4N): -2, 8 and 10 are the distinct
         # rotations 6, 0 and 2 only after reduction mod 8
         f = CoprimeFraction(1, 2)
-        c = ExactCoefficient(2, RationalAngle(0, 1))
         for rotations in [(-2, 2), (2, 8), (6, 10)]:
-            with pytest.raises(ValueError):
-                KittenDescriptor(f, (c, c), rotations)
+            with pytest.raises(ValueError, match=r"^rotations: must lie in \[0, 8\)"):
+                KittenDescriptor(f, (0, 0), rotations)
+
+    @pytest.mark.parametrize("name, phases, rotations", [
+        ("phases", (0.0, 1.0), (2, 6)), ("phases", (True, False), (2, 6)),
+        ("rotations", (0, 0), (2.0, 6.0)), ("rotations", (0, 0), ("2", "6"))])
+    def test_column_without_an_integer_dtype_rejected(self, name, phases, rotations):
+        with pytest.raises(TypeError, match=rf"^{name}: must be integers, got dtype "):
+            KittenDescriptor(CoprimeFraction(1, 2), phases, rotations)
+
+    def test_columns_are_read_only_int64_copies(self):
+        phases, rotations = np.array([1, 2], dtype=np.int32), np.array([2, 6], dtype=np.uint8)
+        desc = KittenDescriptor(CoprimeFraction(1, 2), phases, rotations)
+        assert desc.phases.dtype == desc.rotations.dtype == np.int64
+        assert not desc.phases.flags.writeable and not desc.rotations.flags.writeable
+        phases[0] = 3
+        assert desc.phases.tolist() == [1, 2]
+        with pytest.raises(ValueError):
+            desc.phases[0] = 3
+
+    def test_equality_is_equal_fraction_and_columns(self):
+        f = CoprimeFraction(1, 2)
+        desc = KittenDescriptor(f, (7, 1), (2, 6))
+        assert desc == KittenDescriptor(f, np.array([7, 1]), [2, 6])
+        assert desc != KittenDescriptor(f, (7, 2), (2, 6))
+        assert desc != KittenDescriptor(f, (7, 1), (6, 2))
+        assert desc != KittenDescriptor(CoprimeFraction(1, 3), (7, 1, 0), (2, 6, 10))
+        assert desc != (f, (7, 1), (2, 6))
+
+
+class TestIntegerColumns:
+    def test_build_makes_no_exact_object(self, monkeypatch):
+        # the descriptor is two integer columns; exact objects are made only when read
+        made = []
+        for cls in (ExactCoefficient, RationalAngle):
+            original = cls.__post_init__
+
+            def counted(self, original=original):
+                made.append(type(self).__name__)
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        desc = build_descriptor(CoprimeFraction(1, 4001))
+        assert len(desc.components) == 4001
+        assert made == []
+        assert str(desc.components[1]) == "exp(i·7002π/4001)/√4001"  # as `state 1 4001` prints
+        assert made == ["RationalAngle", "ExactCoefficient"]
+
+    @pytest.mark.parametrize("m, n", [(1, 2), (3, 4), (4, 5), (5, 12), (2, 45), (7, 4000)])
+    def test_components_are_the_closed_coefficients(self, m, n):
+        f = CoprimeFraction(m, n)
+        assert list(build_descriptor(f).components) == closed_coefficients(f)
+
+    def test_branch_coefficients_are_the_bits_of_the_exact_objects(self):
+        # one unit_phase call over the numerators over 4N gives the bits that the
+        # reduced exact phases gave, so the Fock vectors and wavefunctions keep theirs
+        large = [CoprimeFraction(m, n) for m, n in ((1, 4001), (2, 3989), (7, 4000), (1, 16385))]
+        for f in [*_fractions_up_to(60), *large]:
+            got = _branches(build_descriptor(f), 1.0)[0]
+            assert got.tobytes() == _coefficient_values(closed_coefficients(f)).tobytes(), f
 
 
 class TestJsonRoundTrip:

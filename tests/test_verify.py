@@ -150,6 +150,26 @@ class TestRouteFaultsFail:
         assert not results["closed-magnitude-exact"].passed
         assert results["golden-states-exact"].passed
 
+    def test_wrong_exact_coefficient_fails_golden_states_exact(self, monkeypatch):
+        # one phase numerator of the exact objects off by one, on the first call only,
+        # while the descriptors are right: the golden check compares both
+        def planted(original):
+            calls = []
+
+            def closed(f):
+                coeffs = original(f)
+                if not calls:
+                    c = coeffs[1]
+                    coeffs[1] = dataclasses.replace(
+                        c, phase=dataclasses.replace(c.phase, num=c.phase.num + 1))
+                calls.append(f)
+                return coeffs
+            return closed
+
+        results = _gauss_results(monkeypatch, "closed_coefficients", planted)
+        assert results["golden-states-exact"].value == 1.0
+        assert not results["golden-states-exact"].passed
+
 
 WAVE_SMALL = dataclasses.replace(SMALL, grid=GridSpec(10.0, 401), spectral_n_max=6,
                                  cat_x_points=121, dim=32)
@@ -318,8 +338,8 @@ class TestValuesEvaluatedOnce:
         # the values passed to unit_phase: the 8N closed values of each N, from
         # which its phi(N) rows of N are gathered (the whole table, 55,204 values
         # here before), and the one table of 2N roots that _targets builds for
-        # each of the three other routes per N; the golden descriptors are
-        # compared as exact phases and evaluate nothing
+        # each of the three other routes per N; the golden states are compared
+        # as integer columns and exact objects and evaluate nothing
         cfg = VerifyConfig(coeff_n_max=60)
         closed = sum(8 * n for n in range(2, cfg.coeff_n_max + 1))
         roots = sum(3 * 2 * n for n in range(2, cfg.coeff_n_max + 1))
@@ -350,7 +370,7 @@ def test_gathered_closed_rows_are_the_bits_of_the_whole_table():
 class TestClosedRouteBatched:
     def test_sweep_builds_no_flat_closed_list(self, monkeypatch):
         # the sweep evaluates the closed table itself; only the golden
-        # descriptors still ask for exact objects
+        # check still asks for exact objects
         original = gauss_sums.closed_coefficients
         items = []
 
@@ -359,7 +379,7 @@ class TestClosedRouteBatched:
             items.append(len(out))
             return out
 
-        for module in (gauss_sums, superposition, verify):
+        for module in (gauss_sums, verify):
             monkeypatch.setattr(module, "closed_coefficients", counted)
         golden = sum(f.N for f, _ in superposition.reference_state_table())
         assert golden == 36

@@ -162,8 +162,8 @@ class TestArrayShapes:
         x = np.linspace(-5, 5, 21).reshape(3, 7)
         desc = build_descriptor(CoprimeFraction(m, n))
         loop = np.zeros(x.shape, dtype=complex)
-        for c, r in zip(desc.components, desc.rotations):
-            value = _cmath_phase(c.phase.num, c.phase.den) / math.sqrt(c.inv_sqrt_n)
+        for p, r in zip(desc.phases.tolist(), desc.rotations.tolist()):
+            value = _cmath_phase(p, 4 * n) / math.sqrt(n)
             loop += value * psi_coherent(_cmath_phase(r, 2 * n) * alpha, x)
         superposed = superposition_wavefunction(alpha, desc, x)
         assert superposed.shape == (3, 7)
